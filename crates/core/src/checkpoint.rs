@@ -1,13 +1,21 @@
-//! Checkpoint/resume for long-running sweeps.
+//! Sweep progress that survives a crash: the sweep record log.
 //!
 //! The paper's evaluation ground per-destination routing trees for a
 //! 36K-AS graph on a 200-node cluster; at that scale a mid-sweep crash
-//! must not discard hours of finished work. A [`SweepCheckpoint`]
-//! records every completed sweep unit (one `(adopter set, θ)` cell, one
-//! census round, …) keyed by a caller-chosen string, and persists
-//! itself with an **atomic write-rename** so a kill at any instant
-//! leaves either the previous complete checkpoint or the new one —
-//! never a torn file.
+//! must not discard hours of finished work. A sweep run with
+//! `--resume` keeps one append-only [`recordlog`] per sweep
+//! (`checkpoints/<cmd>.ckpt`): a header `sweep 3 <fingerprint>`, then
+//! one fsync'd record per event —
+//!
+//! ```text
+//! unit <hex key>\n<result>     a completed unit (one (adopter set, θ) cell, …)
+//! lease <hex key>\npeer <hex peer>\n
+//!                              the unit was dispatched to a worker
+//! ```
+//!
+//! A unit record for a key discharges every earlier lease on it; a
+//! lease with no later unit record was in flight when the coordinator
+//! died, and the resumed run simply dispatches it again.
 //!
 //! # Bit-exact by construction
 //!
@@ -17,74 +25,49 @@
 //! hex of its IEEE-754 bits, never through decimal formatting. The
 //! format is a self-contained line-oriented text encoding
 //! ([`codec`]) — persistence does not depend on any serialization
-//! crate.
+//! crate — and no unit record is appended unless it decodes back to
+//! the result it encodes.
 //!
-//! A checkpoint also stores a fingerprint of the sweep parameters
-//! (graph size, seed, thread-irrelevant knobs — whatever the caller
-//! hashes via [`params_fingerprint`]); [`SweepCheckpoint::load`]
-//! refuses to resume against a checkpoint written under different
-//! parameters instead of silently mixing incompatible results.
+//! The header's fingerprint hashes the sweep parameters (graph size,
+//! seed, thread-irrelevant knobs — whatever the caller passes to
+//! [`params_fingerprint`]); [`SweepLog::open`] refuses to resume a log
+//! written under different parameters instead of silently mixing
+//! incompatible results.
 
+use crate::recordlog::{self, LogError, RecordLog, Scan};
 use crate::sim::SimResult;
-use crate::storage::{StorageError, Store};
+use crate::storage::Store;
 use std::collections::HashMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
 
-/// A [`Store`] + key pair addressing one artifact file at `path` — the
-/// bridge that keeps the historical path-based API alive on top of the
-/// storage trait: a [`LocalDisk`](crate::storage::LocalDisk) rooted at
-/// the file's parent directory with the file name as the key, which
-/// writes byte-for-byte what the pre-trait code wrote.
-pub fn file_store(path: &Path) -> Result<(Store, String), CheckpointError> {
-    let parent = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| CheckpointError::Io {
-            path: path.to_path_buf(),
-            message: "path has no usable file name".into(),
-        })?
-        .to_string();
-    Ok((Store::localdisk(parent), name))
-}
+/// Kind and version of the sweep log header. Bump the version with any
+/// change to the record vocabulary: a log of another version is refused
+/// with a delete-and-rerun diagnosis, never half-read.
+pub const LOG_KIND: &str = "sweep 3";
 
-/// Map a storage failure onto the checkpoint error vocabulary, naming
-/// the artifact by its human-facing path.
-fn store_io(display: &Path, e: StorageError) -> CheckpointError {
-    CheckpointError::Io {
-        path: display.to_path_buf(),
-        message: e.to_string(),
-    }
-}
-
-/// Errors from checkpoint persistence.
+/// Errors from sweep persistence.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Filesystem failure reading or writing the checkpoint.
-    Io {
-        /// The file involved.
-        path: PathBuf,
-        /// The underlying error, stringified.
-        message: String,
-    },
-    /// The file exists but does not parse as a checkpoint.
+    /// The log could not be read or appended to: storage failure, a
+    /// foreign (older-format) file, or damage before valid records.
+    Log(LogError),
+    /// A record's checksum verifies but its payload does not decode —
+    /// a writer bug, not a torn write.
     Corrupt {
-        /// The file involved.
-        path: PathBuf,
-        /// 1-based line of the first offending record.
+        /// The log's storage key.
+        key: String,
+        /// Byte offset of the record.
+        offset: u64,
+        /// 1-based line within the record's payload.
         line: usize,
         /// What was wrong.
         message: String,
     },
-    /// The checkpoint was written by a run with different parameters
-    /// and cannot be resumed against this one.
+    /// The log was written by a run with different parameters and
+    /// cannot be resumed against this one.
     ParamsMismatch {
-        /// The file involved.
-        path: PathBuf,
+        /// The log's storage key.
+        key: String,
         /// Fingerprint of the current run's parameters.
         expected: u64,
         /// Fingerprint stored in the file.
@@ -95,28 +78,25 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Io { path, message } => {
-                write!(f, "checkpoint i/o error on {}: {message}", path.display())
-            }
+            CheckpointError::Log(e) => write!(f, "{e}"),
             CheckpointError::Corrupt {
-                path,
+                key,
+                offset,
                 line,
                 message,
             } => write!(
                 f,
-                "corrupt checkpoint {} at line {line}: {message}",
-                path.display()
+                "corrupt sweep log {key}: record at byte {offset}, line {line}: {message}"
             ),
             CheckpointError::ParamsMismatch {
-                path,
+                key,
                 expected,
                 found,
             } => write!(
                 f,
-                "checkpoint {} was written with different sweep parameters \
+                "checkpoint {key} was written with different sweep parameters \
                  (fingerprint {found:016x}, this run is {expected:016x}); \
-                 delete it to start the sweep over",
-                path.display()
+                 delete it to start the sweep over"
             ),
         }
     }
@@ -124,46 +104,157 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Format header of the current checkpoint version. v2 added the task
-/// fault kind to quarantine records plus the self-check and deadline
-/// ledgers; older files are refused rather than half-read.
-const HEADER: &str = "sbgp-checkpoint v2";
+impl From<LogError> for CheckpointError {
+    fn from(e: LogError) -> Self {
+        CheckpointError::Log(e)
+    }
+}
 
 /// FNV-1a fingerprint of the parameter strings that define a sweep.
 /// Order matters; include everything that changes the results (graph
 /// size, seed, θ grid, model…) and nothing that doesn't (thread count).
 pub fn params_fingerprint<S: AsRef<str>>(parts: &[S]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for part in parts {
-        for b in part.as_ref().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        // Separator so ["ab", "c"] != ["a", "bc"].
-        h ^= 0x1f;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    // A 0x1f separator after each part, so ["ab", "c"] != ["a", "bc"].
+    recordlog::fnv1a_by(
+        0x1000_0000_01b3,
+        parts
+            .iter()
+            .flat_map(|p| [p.as_ref().as_bytes(), &[0x1f][..]]),
+    )
 }
 
-/// Progress of one sweep: every completed unit's result, keyed by a
-/// caller-chosen unit label (e.g. `"adopters=CP+5;theta=0.10"`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepCheckpoint {
-    /// Fingerprint of the sweep parameters this progress belongs to.
+/// One decoded record.
+enum Record {
+    Unit { key: String, result: Box<SimResult> },
+    Lease { key: String, peer: String },
+}
+
+fn encode_unit(key: &str, result: &SimResult) -> String {
+    let mut payload = format!("unit {}\n", codec::hex_str(key));
+    codec::encode_result(&mut payload, result);
+    payload
+}
+
+fn decode_record(payload: &str) -> Result<Record, codec::DecodeError> {
+    let mut p = codec::Parser::new(payload);
+    if payload.starts_with("lease ") {
+        let key = p.tagged_hex_str("lease")?;
+        let peer = p.tagged_hex_str("peer")?;
+        return Ok(Record::Lease { key, peer });
+    }
+    let key = p.tagged_hex_str("unit")?;
+    let result = Box::new(codec::decode_result(&mut p)?);
+    Ok(Record::Unit { key, result })
+}
+
+/// A sweep log read back: what `repro doctor` summarizes and
+/// [`SweepLog::open`] resumes from.
+#[derive(Debug)]
+pub struct Replay {
+    /// The parameter fingerprint in the header.
     pub fingerprint: u64,
+    /// Completed units in write order (a re-completed key keeps its
+    /// first position and latest result).
+    pub units: SweepLog,
+    /// Keys whose latest mention is a lease — dispatched, never
+    /// completed — with the peer that held each, in first-lease order.
+    pub leases: Vec<(String, String)>,
+}
+
+/// What [`SweepLog::open`] found in an existing log.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Resumed {
+    /// Torn trailing bytes (a crash mid-append) that open truncated.
+    pub torn_bytes: u64,
+    /// Units leased to workers and never completed.
+    pub leases: Vec<(String, String)>,
+}
+
+/// Decode a scanned sweep log.
+pub fn replay(key: &str, scan: &Scan) -> Result<Replay, CheckpointError> {
+    let fingerprint = scan
+        .header
+        .strip_prefix(LOG_KIND)
+        .and_then(|fp| u64::from_str_radix(fp.trim(), 16).ok())
+        .ok_or_else(|| CheckpointError::Corrupt {
+            key: key.to_string(),
+            offset: 0,
+            line: 1,
+            message: format!("header {:?} carries no fingerprint", scan.header),
+        })?;
+    let mut units = SweepLog::in_memory();
+    let mut leases: Vec<(String, String)> = Vec::new();
+    for (offset, payload) in &scan.records {
+        let record = decode_record(payload).map_err(|e| CheckpointError::Corrupt {
+            key: key.to_string(),
+            offset: *offset,
+            line: e.line,
+            message: e.message,
+        })?;
+        match record {
+            Record::Lease { key, peer } => match leases.iter_mut().find(|(k, _)| *k == key) {
+                Some(slot) => slot.1 = peer,
+                None => leases.push((key, peer)),
+            },
+            Record::Unit { key, result } => {
+                leases.retain(|(k, _)| *k != key);
+                units.remember(key, *result);
+            }
+        }
+    }
+    Ok(Replay {
+        fingerprint,
+        units,
+        leases,
+    })
+}
+
+/// A sweep's completed units, keyed by a caller-chosen label (e.g.
+/// `"adopters=CP+5;theta=0.10"`) — in memory, and in the sweep's
+/// record log when opened over a store.
+#[derive(Debug, Default)]
+pub struct SweepLog {
     units: Vec<(String, SimResult)>,
     index: HashMap<String, usize>,
+    log: Option<RecordLog>,
 }
 
-impl SweepCheckpoint {
-    /// Empty progress for a sweep with the given parameter fingerprint.
-    pub fn new(fingerprint: u64) -> Self {
-        SweepCheckpoint {
-            fingerprint,
-            units: Vec::new(),
-            index: HashMap::new(),
-        }
+impl SweepLog {
+    /// Progress that is never persisted (a run without `--resume`).
+    pub fn in_memory() -> Self {
+        Self::default()
+    }
+
+    /// Open the log at `key`, starting a fresh one when none exists.
+    /// A log from other parameters, a damaged log, or an older build's
+    /// file is an error, never a silent restart.
+    pub fn open(
+        store: &Store,
+        key: &str,
+        fingerprint: u64,
+    ) -> Result<(SweepLog, Resumed), CheckpointError> {
+        let header = format!("{LOG_KIND} {fingerprint:016x}");
+        let (log, scan) = RecordLog::open(store, key, &header).map_err(|e| match e {
+            LogError::HeaderMismatch { found, .. } => CheckpointError::ParamsMismatch {
+                key: key.to_string(),
+                expected: fingerprint,
+                found: found
+                    .rsplit(' ')
+                    .next()
+                    .and_then(|fp| u64::from_str_radix(fp, 16).ok())
+                    .unwrap_or(0),
+            },
+            e => CheckpointError::Log(e),
+        })?;
+        let Replay {
+            mut units, leases, ..
+        } = replay(key, &scan)?;
+        units.log = Some(log);
+        let resumed = Resumed {
+            torn_bytes: scan.torn_bytes,
+            leases,
+        };
+        Ok((units, resumed))
     }
 
     /// Number of completed units.
@@ -181,10 +272,12 @@ impl SweepCheckpoint {
         self.index.get(key).map(|&i| &self.units[i].1)
     }
 
-    /// Record a completed unit (overwrites a previous entry with the
-    /// same key).
-    pub fn insert(&mut self, key: impl Into<String>, result: SimResult) {
-        let key = key.into();
+    /// Completed units in completion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &SimResult)> {
+        self.units.iter().map(|(k, r)| (k.as_str(), r))
+    }
+
+    fn remember(&mut self, key: String, result: SimResult) {
         match self.index.get(&key) {
             Some(&i) => self.units[i].1 = result,
             None => {
@@ -194,544 +287,51 @@ impl SweepCheckpoint {
         }
     }
 
-    /// Completed units in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &SimResult)> {
-        self.units.iter().map(|(k, r)| (k.as_str(), r))
-    }
-
-    /// Persist atomically: encode to `<path>.tmp`, then rename over
-    /// `path`. A crash mid-save leaves the previous checkpoint intact.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let (store, key) = file_store(path)?;
-        self.save_impl(&store, &key, path)
-    }
-
-    /// Persist atomically under `key` in `store` — the backend-generic
-    /// form of [`Self::save`], with the same atomic-replace guarantee
-    /// ([`crate::storage::StorageBackend::put_atomic`]'s contract).
-    pub fn save_to(&self, store: &Store, key: &str) -> Result<(), CheckpointError> {
-        self.save_impl(store, key, Path::new(key))
-    }
-
-    fn save_impl(&self, store: &Store, key: &str, display: &Path) -> Result<(), CheckpointError> {
-        let mut text = String::new();
-        text.push_str(HEADER);
-        text.push('\n');
-        text.push_str(&format!("fingerprint {:016x}\n", self.fingerprint));
-        text.push_str(&format!("units {}\n", self.units.len()));
-        for (key, result) in &self.units {
-            text.push_str(&format!("unit {}\n", codec::hex_str(key)));
-            codec::encode_result(&mut text, result);
-        }
-        text.push_str("end\n");
-
-        // Encode/decode round-trip guard: never persist bytes the
-        // decoder would not reproduce bit-for-bit (a codec bug caught
-        // at save time costs one re-run; caught at resume time it costs
-        // the whole checkpoint).
-        let reread = Self::parse(&text, display, Some(self.fingerprint))?;
-        if reread != *self {
-            return Err(CheckpointError::Corrupt {
-                path: display.to_path_buf(),
-                line: 0,
-                message: "encode/decode round-trip mismatch (codec bug); refusing to save".into(),
-            });
-        }
-
-        store
-            .put_atomic(key, text.as_bytes())
-            .map_err(|e| store_io(display, e))
-    }
-
-    /// Parse checkpoint text. With `expected_fingerprint = Some(f)`,
-    /// refuses a file whose stored fingerprint differs; with `None`,
-    /// accepts any fingerprint (the `doctor` inspection path).
-    fn parse(
-        text: &str,
-        path: &Path,
-        expected_fingerprint: Option<u64>,
-    ) -> Result<Self, CheckpointError> {
-        let corrupt = |line: usize, message: String| CheckpointError::Corrupt {
-            path: path.to_path_buf(),
-            line,
-            message,
-        };
-        let mut p = codec::Parser::new(text);
-        p.expect_line(HEADER)
-            .map_err(|e| corrupt(e.line, e.message))?;
-        let fingerprint = p
-            .tagged_u64_hex("fingerprint")
-            .map_err(|e| corrupt(e.line, e.message))?;
-        if let Some(expected) = expected_fingerprint {
-            if fingerprint != expected {
-                return Err(CheckpointError::ParamsMismatch {
-                    path: path.to_path_buf(),
-                    expected,
-                    found: fingerprint,
+    /// Record a completed unit; when persisted, append it first (and
+    /// fsync), so it survives any crash after this returns. The record
+    /// must decode back to the same key and result before it is
+    /// written: a codec bug caught here costs one unit, caught at
+    /// resume time it would cost the sweep.
+    pub fn insert(&mut self, key: String, result: SimResult) -> Result<(), CheckpointError> {
+        if let Some(log) = self.log.as_mut() {
+            let payload = encode_unit(&key, &result);
+            let same = matches!(decode_record(&payload),
+                Ok(Record::Unit { key: k, result: r }) if k == key && *r == result);
+            if !same {
+                return Err(CheckpointError::Corrupt {
+                    key: log.key().to_string(),
+                    offset: 0,
+                    line: 0,
+                    message: format!(
+                        "unit {key:?}: encode/decode round-trip mismatch (codec bug); \
+                         refusing to append"
+                    ),
                 });
             }
+            log.append(&payload).map_err(LogError::from)?;
         }
-        let count = p
-            .tagged_usize("units")
-            .map_err(|e| corrupt(e.line, e.message))?;
-        let mut ckpt = SweepCheckpoint::new(fingerprint);
-        for _ in 0..count {
-            let key = p
-                .tagged_hex_str("unit")
-                .map_err(|e| corrupt(e.line, e.message))?;
-            let result = codec::decode_result(&mut p).map_err(|e| corrupt(e.line, e.message))?;
-            ckpt.insert(key, result);
+        self.remember(key, result);
+        Ok(())
+    }
+
+    /// Record that `key` is about to be dispatched to `peer`, before
+    /// the assignment leaves the coordinator, so a resumed run knows
+    /// which units were in flight (and with whom) at the moment of
+    /// death. A no-op when not persisted.
+    pub fn lease(&mut self, key: &str, peer: &str) -> Result<(), CheckpointError> {
+        if let Some(log) = self.log.as_mut() {
+            let payload = format!(
+                "lease {}\npeer {}\n",
+                codec::hex_str(key),
+                codec::hex_str(peer)
+            );
+            log.append(&payload).map_err(LogError::from)?;
         }
-        p.expect_line("end")
-            .map_err(|e| corrupt(e.line, e.message))?;
-        Ok(ckpt)
-    }
-
-    /// Read and decode the checkpoint at `key`, or `None` if it does
-    /// not exist.
-    fn read_impl(
-        store: &Store,
-        key: &str,
-        display: &Path,
-        expected_fingerprint: Option<u64>,
-    ) -> Result<Option<Self>, CheckpointError> {
-        let Some(bytes) = store.get(key).map_err(|e| store_io(display, e))? else {
-            return Ok(None);
-        };
-        let text = String::from_utf8(bytes).map_err(|e| CheckpointError::Corrupt {
-            path: display.to_path_buf(),
-            line: 0,
-            message: format!("checkpoint is not UTF-8: {e}"),
-        })?;
-        Self::parse(&text, display, expected_fingerprint).map(Some)
-    }
-
-    fn missing(display: &Path) -> CheckpointError {
-        CheckpointError::Io {
-            path: display.to_path_buf(),
-            message: "no such checkpoint".into(),
-        }
-    }
-
-    /// Load a checkpoint, verifying it belongs to a sweep whose
-    /// parameters hash to `expected_fingerprint`.
-    pub fn load(path: &Path, expected_fingerprint: u64) -> Result<Self, CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::read_impl(&store, &key, path, Some(expected_fingerprint))?
-            .ok_or_else(|| Self::missing(path))
-    }
-
-    /// Backend-generic [`Self::load`].
-    pub fn load_from(
-        store: &Store,
-        key: &str,
-        expected_fingerprint: u64,
-    ) -> Result<Self, CheckpointError> {
-        Self::read_impl(store, key, Path::new(key), Some(expected_fingerprint))?
-            .ok_or_else(|| Self::missing(Path::new(key)))
-    }
-
-    /// Validate and load a checkpoint file without knowing the sweep
-    /// parameters it was written under (fingerprint is reported, not
-    /// checked) — the `repro doctor` inspection path.
-    pub fn inspect(path: &Path) -> Result<Self, CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::read_impl(&store, &key, path, None)?.ok_or_else(|| Self::missing(path))
-    }
-
-    /// Backend-generic [`Self::inspect`] — `doctor` validates any
-    /// backend's checkpoints through this one entry point.
-    pub fn inspect_from(store: &Store, key: &str) -> Result<Self, CheckpointError> {
-        Self::read_impl(store, key, Path::new(key), None)?
-            .ok_or_else(|| Self::missing(Path::new(key)))
-    }
-
-    /// Resume if `path` exists, start fresh otherwise. Corrupt files
-    /// and parameter mismatches are errors, not silent restarts.
-    pub fn load_or_new(path: &Path, fingerprint: u64) -> Result<Self, CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::load_or_new_from(&store, &key, fingerprint)
-    }
-
-    /// Backend-generic [`Self::load_or_new`].
-    pub fn load_or_new_from(
-        store: &Store,
-        key: &str,
-        fingerprint: u64,
-    ) -> Result<Self, CheckpointError> {
-        Ok(
-            Self::read_impl(store, key, Path::new(key), Some(fingerprint))?
-                .unwrap_or_else(|| Self::new(fingerprint)),
-        )
+        Ok(())
     }
 }
 
-/// What a journal replay recovered, and what (if anything) was torn.
-///
-/// A journal written by a process that was `SIGKILL`ed (or lost power)
-/// mid-append ends in a partial record. Replay never fails on that: it
-/// keeps every record whose checksum verifies and reports the torn
-/// suffix here so callers can warn, and `salvage` can truncate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SalvageReport {
-    /// Complete, checksum-verified unit records recovered.
-    pub records: usize,
-    /// Byte offset one past the last valid record — the length the
-    /// file should be truncated to.
-    pub valid_bytes: u64,
-    /// Bytes of torn/partial trailing data past `valid_bytes`
-    /// (`0` means the journal is clean).
-    pub torn_bytes: u64,
-}
-
-impl SalvageReport {
-    /// Whether the journal ended cleanly at a record boundary.
-    pub fn is_clean(&self) -> bool {
-        self.torn_bytes == 0
-    }
-}
-
-/// An append-only, per-unit write-ahead journal beside a checkpoint.
-///
-/// The checkpoint's atomic write-rename makes *saves* crash-safe, but a
-/// save only happens every `--checkpoint-every` units; everything since
-/// the last save dies with the process. The journal closes that window:
-/// each completed unit is appended (and fsynced) as one self-delimiting
-/// record
-///
-/// ```text
-/// rec <payload-bytes> <fnv64-hex>\n
-/// <payload>\n
-/// ```
-///
-/// where the payload is `unit <hex key>\n` + the bit-exact
-/// [`codec::encode_result`] text, and the checksum is FNV-1a over the
-/// payload bytes. A crash mid-append leaves a torn tail that replay
-/// detects (length or checksum mismatch) and salvages by truncating to
-/// the last valid record — never by refusing the whole file. After a
-/// successful checkpoint save the journal is truncated (compaction):
-/// its records are now covered by the checkpoint.
-///
-/// Distributed sweeps add a second record type with the same framing:
-/// a **lease**, payload `lease <hex key>\npeer <hex peer>\n`, appended
-/// when a unit is dispatched to a worker. A unit record for the same
-/// key discharges the lease; a lease with no later unit record marks
-/// work that was in flight when the coordinator died — the resumed run
-/// simply re-dispatches it (the unit was never merged), and `doctor`
-/// can report which peer held it.
-#[derive(Debug)]
-pub struct UnitJournal {
-    store: Store,
-    key: String,
-    display: PathBuf,
-}
-
-/// One replayed journal record: a completed unit, or a lease marking a
-/// unit dispatched to a worker and not yet (at append time) completed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalRecord {
-    /// A completed unit with its bit-exact result (boxed: a result is
-    /// orders of magnitude larger than a lease).
-    Unit {
-        /// The unit key.
-        key: String,
-        /// The deterministic result.
-        result: Box<SimResult>,
-    },
-    /// A unit was dispatched to `peer` — in flight at append time.
-    Lease {
-        /// The unit key.
-        key: String,
-        /// Which worker held the lease (a peer address or process id).
-        peer: String,
-    },
-}
-
-/// FNV-1a over raw bytes (same constants as [`params_fingerprint`]).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-impl UnitJournal {
-    /// Open (or create) the journal at `path` for appending.
-    pub fn open(path: &Path) -> Result<Self, CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::open_impl(store, key, path.to_path_buf())
-    }
-
-    /// Open (or create) the journal at `key` in `store` — the
-    /// backend-generic form of [`Self::open`].
-    pub fn open_in(store: &Store, key: &str) -> Result<Self, CheckpointError> {
-        Self::open_impl(store.clone(), key.to_string(), PathBuf::from(key))
-    }
-
-    fn open_impl(store: Store, key: String, display: PathBuf) -> Result<Self, CheckpointError> {
-        // Match the historical open(create | append) semantics: the
-        // journal exists (empty) after open, existing records survive.
-        if store
-            .len(&key)
-            .map_err(|e| store_io(&display, e))?
-            .is_none()
-        {
-            store
-                .append_durable(&key, b"")
-                .map_err(|e| store_io(&display, e))?;
-        }
-        Ok(UnitJournal {
-            store,
-            key,
-            display,
-        })
-    }
-
-    /// The journal's human-facing path (the storage key, for non-disk
-    /// backends).
-    pub fn path(&self) -> &Path {
-        &self.display
-    }
-
-    /// The journal's storage key, for store-level operations (e.g.
-    /// deleting a compacted journal through the same backend).
-    pub fn key(&self) -> &str {
-        &self.key
-    }
-
-    /// Append one completed unit and fsync, so the record survives any
-    /// crash that happens after this returns.
-    pub fn append(&mut self, key: &str, result: &SimResult) -> Result<(), CheckpointError> {
-        let mut payload = String::new();
-        payload.push_str(&format!("unit {}\n", codec::hex_str(key)));
-        codec::encode_result(&mut payload, result);
-        self.append_payload(&payload)
-    }
-
-    /// Append a lease record — `key` was just dispatched to `peer` —
-    /// and fsync. Written *before* the assignment leaves the
-    /// coordinator, so a resumed run can tell which units were in
-    /// flight (and with whom) at the moment of death.
-    pub fn append_lease(&mut self, key: &str, peer: &str) -> Result<(), CheckpointError> {
-        let payload = format!(
-            "lease {}\npeer {}\n",
-            codec::hex_str(key),
-            codec::hex_str(peer)
-        );
-        self.append_payload(&payload)
-    }
-
-    fn append_payload(&mut self, payload: &str) -> Result<(), CheckpointError> {
-        let mut rec = format!("rec {} {:016x}\n", payload.len(), fnv1a(payload.as_bytes()));
-        rec.push_str(payload);
-        rec.push('\n');
-        // Store::append_durable is record-safe under retry: a torn
-        // first attempt is truncated back before the retry, so the
-        // journal never ends up with a half-record *followed by* its
-        // complete twin.
-        self.store
-            .append_durable(&self.key, rec.as_bytes())
-            .map_err(|e| store_io(&self.display, e))
-    }
-
-    /// Drop every record (after its units were compacted into a saved
-    /// checkpoint) and fsync the now-empty file.
-    pub fn reset(&mut self) -> Result<(), CheckpointError> {
-        self.store
-            .truncate(&self.key, 0)
-            .map_err(|e| store_io(&self.display, e))
-    }
-
-    /// Replay a journal file's *unit* records in write order (lease
-    /// records are skipped — they mark dispatch, not completion), plus
-    /// a [`SalvageReport`] describing any torn tail. A missing file
-    /// replays as empty. The only errors are real I/O failures and
-    /// records whose checksum verifies but whose payload does not
-    /// decode (a writer bug, not a torn write).
-    pub fn replay(
-        path: &Path,
-    ) -> Result<(Vec<(String, SimResult)>, SalvageReport), CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::replay_in(&store, &key)
-    }
-
-    /// Backend-generic [`Self::replay`].
-    pub fn replay_in(
-        store: &Store,
-        key: &str,
-    ) -> Result<(Vec<(String, SimResult)>, SalvageReport), CheckpointError> {
-        let (records, report) = Self::replay_records_in(store, key)?;
-        let units = records
-            .into_iter()
-            .filter_map(|r| match r {
-                JournalRecord::Unit { key, result } => Some((key, *result)),
-                JournalRecord::Lease { .. } => None,
-            })
-            .collect();
-        Ok((units, report))
-    }
-
-    /// Replay every checksum-verified record — units *and* leases — in
-    /// write order. The lease view is what a resumed coordinator and
-    /// `doctor` use: a lease with no later unit record for the same key
-    /// was in flight when the writer died.
-    pub fn replay_records(
-        path: &Path,
-    ) -> Result<(Vec<JournalRecord>, SalvageReport), CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::replay_records_in(&store, &key)
-    }
-
-    /// Backend-generic [`Self::replay_records`].
-    pub fn replay_records_in(
-        store: &Store,
-        key: &str,
-    ) -> Result<(Vec<JournalRecord>, SalvageReport), CheckpointError> {
-        let display = Path::new(key);
-        let bytes = match store.get(key).map_err(|e| store_io(display, e))? {
-            Some(b) => b,
-            None => {
-                return Ok((
-                    Vec::new(),
-                    SalvageReport {
-                        records: 0,
-                        valid_bytes: 0,
-                        torn_bytes: 0,
-                    },
-                ))
-            }
-        };
-        let mut records: Vec<JournalRecord> = Vec::new();
-        let mut offset = 0usize;
-        while let Some((payload, end)) = next_record(&bytes, offset) {
-            records.push(decode_record(payload, display, records.len() + 1)?);
-            offset = end;
-        }
-        let report = SalvageReport {
-            records: records.len(),
-            valid_bytes: offset as u64,
-            torn_bytes: (bytes.len() - offset) as u64,
-        };
-        Ok((records, report))
-    }
-
-    /// The keys whose most recent journal mention is a lease — i.e.
-    /// dispatched but never completed — with the peer that held each.
-    /// Order is first-lease order; a unit record discharges every
-    /// earlier lease on its key.
-    pub fn outstanding_leases(records: &[JournalRecord]) -> Vec<(String, String)> {
-        let mut open: Vec<(String, String)> = Vec::new();
-        for rec in records {
-            match rec {
-                JournalRecord::Lease { key, peer } => {
-                    if let Some(slot) = open.iter_mut().find(|(k, _)| k == key) {
-                        slot.1 = peer.clone();
-                    } else {
-                        open.push((key.clone(), peer.clone()));
-                    }
-                }
-                JournalRecord::Unit { key, .. } => {
-                    open.retain(|(k, _)| k != key);
-                }
-            }
-        }
-        open
-    }
-
-    /// Truncate the file at `path` to its last valid record, making a
-    /// torn journal clean. Returns what was salvaged.
-    pub fn salvage(path: &Path) -> Result<SalvageReport, CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::salvage_in(&store, &key)
-    }
-
-    /// Backend-generic [`Self::salvage`].
-    pub fn salvage_in(store: &Store, key: &str) -> Result<SalvageReport, CheckpointError> {
-        let (_, report) = Self::replay_in(store, key)?;
-        if report.torn_bytes > 0 {
-            store
-                .truncate(key, report.valid_bytes)
-                .map_err(|e| store_io(Path::new(key), e))?;
-        }
-        Ok(report)
-    }
-}
-
-/// Scan one record starting at `offset`. Returns the payload slice and
-/// the offset one past the record, or `None` if the bytes from `offset`
-/// on do not form a complete valid record (torn tail — or end of file).
-fn next_record(bytes: &[u8], offset: usize) -> Option<(&[u8], usize)> {
-    let rest = &bytes[offset..];
-    let nl = rest.iter().position(|&b| b == b'\n')?;
-    let header = std::str::from_utf8(&rest[..nl]).ok()?;
-    let mut toks = header.split_whitespace();
-    if toks.next() != Some("rec") {
-        return None;
-    }
-    let len: usize = toks.next()?.parse().ok()?;
-    let sum_tok = toks.next()?;
-    if toks.next().is_some() || sum_tok.len() != 16 {
-        return None;
-    }
-    let sum = u64::from_str_radix(sum_tok, 16).ok()?;
-    let body_start = nl + 1;
-    // Payload plus its trailing newline must be fully present.
-    if rest.len() < body_start + len + 1 {
-        return None;
-    }
-    let payload = &rest[body_start..body_start + len];
-    if rest[body_start + len] != b'\n' || fnv1a(payload) != sum {
-        return None;
-    }
-    Some((payload, offset + body_start + len + 1))
-}
-
-/// Decode one record's payload into a [`JournalRecord`]. `record` is
-/// the 1-based record number, for error messages.
-fn decode_record(
-    payload: &[u8],
-    path: &Path,
-    record: usize,
-) -> Result<JournalRecord, CheckpointError> {
-    let corrupt = |line: usize, message: String| CheckpointError::Corrupt {
-        path: path.to_path_buf(),
-        line,
-        message: format!("journal record {record}: {message}"),
-    };
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| corrupt(0, format!("payload is not UTF-8: {e}")))?;
-    let tag = text
-        .lines()
-        .next()
-        .and_then(|l| l.split_whitespace().next())
-        .unwrap_or("");
-    let mut p = codec::Parser::new(text);
-    match tag {
-        "lease" => {
-            let key = p
-                .tagged_hex_str("lease")
-                .map_err(|e| corrupt(e.line, e.message))?;
-            let peer = p
-                .tagged_hex_str("peer")
-                .map_err(|e| corrupt(e.line, e.message))?;
-            Ok(JournalRecord::Lease { key, peer })
-        }
-        _ => {
-            let key = p
-                .tagged_hex_str("unit")
-                .map_err(|e| corrupt(e.line, e.message))?;
-            let result = codec::decode_result(&mut p).map_err(|e| corrupt(e.line, e.message))?;
-            Ok(JournalRecord::Unit {
-                key,
-                result: Box::new(result),
-            })
-        }
-    }
-}
-
-/// The self-contained, bit-exact text codec behind [`SweepCheckpoint`].
+/// The self-contained, bit-exact text codec behind [`SweepLog`] records.
 ///
 /// Line-oriented: every record is `tag value…`; every `f64` travels as
 /// the 16-hex-digit IEEE-754 bit pattern, every string as hex-encoded
@@ -764,7 +364,8 @@ pub mod codec {
         out
     }
 
-    fn unhex_str(tok: &str) -> Option<String> {
+    /// Decode [`hex_str`]'s output (`None` if it is not hex UTF-8).
+    pub fn unhex_str(tok: &str) -> Option<String> {
         if tok == "-" {
             return Some(String::new());
         }
@@ -1232,6 +833,8 @@ mod tests {
     use sbgp_asgraph::Weights;
     use sbgp_routing::HashTieBreak;
 
+    const KEY: &str = "checkpoints/fig9.ckpt";
+
     fn sample_result(seed: u64, chaos: Option<ChaosPlan>) -> SimResult {
         let g = generate(&GenParams::new(120, seed)).graph;
         let w = Weights::with_cp_fraction(&g, 0.10);
@@ -1274,175 +877,197 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join("sbgp_ckpt_roundtrip");
-        let path = dir.join("sweep.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let store = Store::in_memory();
         let fp = params_fingerprint(&["ases=120", "seed=42"]);
-        let mut ckpt = SweepCheckpoint::new(fp);
-        ckpt.insert("theta=0.05", sample_result(42, None));
-        ckpt.insert("theta=0.10", sample_result(43, None));
-        ckpt.save(&path).unwrap();
-        let back = SweepCheckpoint::load(&path, fp).unwrap();
-        assert_eq!(back, ckpt);
-        assert!(back.get("theta=0.05").is_some());
+        let (mut log, _) = SweepLog::open(&store, KEY, fp).unwrap();
+        log.insert("theta=0.05".into(), sample_result(42, None))
+            .unwrap();
+        log.insert("theta=0.10".into(), sample_result(43, None))
+            .unwrap();
+        drop(log);
+        let (back, resumed) = SweepLog::open(&store, KEY, fp).unwrap();
+        assert!(resumed.leases.is_empty());
+        let keys: Vec<&str> = back.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["theta=0.05", "theta=0.10"]);
+        assert_eq!(back.get("theta=0.05"), Some(&sample_result(42, None)));
         assert!(back.get("theta=0.20").is_none());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn params_mismatch_is_refused() {
-        let dir = std::env::temp_dir().join("sbgp_ckpt_mismatch");
-        let path = dir.join("sweep.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let mut ckpt = SweepCheckpoint::new(1);
-        ckpt.insert("unit", sample_result(42, None));
-        ckpt.save(&path).unwrap();
-        match SweepCheckpoint::load(&path, 2) {
-            Err(CheckpointError::ParamsMismatch {
-                expected, found, ..
-            }) => {
-                assert_eq!((expected, found), (2, 1));
-            }
-            other => panic!("expected ParamsMismatch, got {other:?}"),
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_file_is_a_typed_error() {
-        let dir = std::env::temp_dir().join("sbgp_ckpt_corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.ckpt");
-        std::fs::write(&path, "sbgp-checkpoint v2\nfingerprint zzzz\n").unwrap();
-        assert!(matches!(
-            SweepCheckpoint::load(&path, 0),
-            Err(CheckpointError::Corrupt { line: 2, .. })
-        ));
-        let _ = std::fs::remove_file(&path);
+        // One header plus one record per unit, nothing rewritten.
+        let text = String::from_utf8(store.get(KEY).unwrap().unwrap()).unwrap();
+        assert_eq!(text.matches("\nunit ").count(), 2);
+        assert!(text.contains(&format!("sweep 3 {fp:016x}\n")), "{text}");
     }
 
     #[test]
     fn load_or_new_on_missing_file() {
-        let path = std::env::temp_dir().join("sbgp_ckpt_never_written.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let ckpt = SweepCheckpoint::load_or_new(&path, 9).unwrap();
-        assert!(ckpt.is_empty());
-        assert_eq!(ckpt.fingerprint, 9);
-    }
-
-    #[test]
-    fn journal_append_replay_round_trip() {
-        let dir = std::env::temp_dir().join("sbgp_journal_roundtrip");
-        let path = dir.join("sweep.journal");
-        let _ = std::fs::remove_file(&path);
-        let r1 = sample_result(42, None);
-        let r2 = sample_result(43, None);
-        {
-            let mut j = UnitJournal::open(&path).unwrap();
-            j.append("theta=0.05", &r1).unwrap();
-            j.append("theta=0.10", &r2).unwrap();
-        }
-        let (units, report) = UnitJournal::replay(&path).unwrap();
-        assert!(report.is_clean());
-        assert_eq!(report.records, 2);
-        assert_eq!(units.len(), 2);
-        assert_eq!(units[0].0, "theta=0.05");
-        assert_eq!(units[1].0, "theta=0.10");
-        // Stats are not journaled (same contract as the checkpoint).
-        let mut want = r1.clone();
-        want.stats = crate::engine::EngineStats::default();
-        assert_eq!(units[0].1, want);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn journal_reset_empties_the_file() {
-        let dir = std::env::temp_dir().join("sbgp_journal_reset");
-        let path = dir.join("sweep.journal");
-        let _ = std::fs::remove_file(&path);
-        let mut j = UnitJournal::open(&path).unwrap();
-        j.append("a", &sample_result(42, None)).unwrap();
-        j.reset().unwrap();
-        let (units, report) = UnitJournal::replay(&path).unwrap();
-        assert!(units.is_empty());
-        assert!(report.is_clean());
-        // Appends keep working after a reset.
-        j.append("b", &sample_result(43, None)).unwrap();
-        let (units, _) = UnitJournal::replay(&path).unwrap();
-        assert_eq!(units.len(), 1);
-        assert_eq!(units[0].0, "b");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_journal_tail_is_salvaged_not_fatal() {
-        let dir = std::env::temp_dir().join("sbgp_journal_torn");
-        let path = dir.join("sweep.journal");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut j = UnitJournal::open(&path).unwrap();
-            j.append("good", &sample_result(42, None)).unwrap();
-            j.append("doomed", &sample_result(43, None)).unwrap();
-        }
-        let full = std::fs::read(&path).unwrap();
-        let (_, clean) = UnitJournal::replay(&path).unwrap();
-        assert_eq!(clean.records, 2);
-        assert_eq!(clean.valid_bytes as usize, full.len());
-        // Tear the second record's tail off, as a kill mid-append would.
-        std::fs::write(&path, &full[..full.len() - 10]).unwrap();
-        let (units, torn) = UnitJournal::replay(&path).unwrap();
-        assert_eq!(units.len(), 1);
-        assert_eq!(units[0].0, "good");
-        assert_eq!(torn.records, 1);
-        assert!(torn.torn_bytes > 0);
-        // Salvage truncates to the valid prefix; replay is then clean.
-        let report = UnitJournal::salvage(&path).unwrap();
-        assert_eq!(report.records, 1);
-        let (units, after) = UnitJournal::replay(&path).unwrap();
-        assert_eq!(units.len(), 1);
-        assert!(after.is_clean());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn journal_leases_replay_and_discharge() {
-        let dir = std::env::temp_dir().join("sbgp_journal_leases");
-        let path = dir.join("sweep.journal");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut j = UnitJournal::open(&path).unwrap();
-            j.append_lease("theta=0.05", "127.0.0.1:9001").unwrap();
-            j.append_lease("theta=0.10", "process 4242").unwrap();
-            j.append("theta=0.05", &sample_result(42, None)).unwrap();
-            // Re-lease after a requeue: a second lease on the same key
-            // updates the holder rather than duplicating the entry.
-            j.append_lease("theta=0.10", "127.0.0.1:9002").unwrap();
-        }
-        let (records, report) = UnitJournal::replay_records(&path).unwrap();
-        assert!(report.is_clean());
-        assert_eq!(report.records, 4);
-        // The unit-only view skips leases (back-compat for resume).
-        let (units, units_report) = UnitJournal::replay(&path).unwrap();
-        assert_eq!(units.len(), 1);
-        assert_eq!(units[0].0, "theta=0.05");
-        assert_eq!(units_report.records, 4);
-        // The completed unit discharged its lease; the requeued unit's
-        // lease survives with the latest holder.
-        let open = UnitJournal::outstanding_leases(&records);
-        assert_eq!(
-            open,
-            vec![("theta=0.10".to_string(), "127.0.0.1:9002".to_string())]
-        );
-        let _ = std::fs::remove_file(&path);
+        let store = Store::in_memory();
+        let (log, resumed) = SweepLog::open(&store, KEY, 9).unwrap();
+        assert!(log.is_empty());
+        assert_eq!(resumed, Resumed::default());
+        // The fresh log holds just its header, so a resume under the
+        // same parameters finds it and one under others refuses it.
+        let scan = recordlog::scan(KEY, &store.get(KEY).unwrap().unwrap(), &[LOG_KIND]).unwrap();
+        assert_eq!(scan.header, format!("sweep 3 {:016x}", 9));
+        assert!(scan.records.is_empty());
+        assert!(SweepLog::open(&store, KEY, 9).unwrap().0.is_empty());
+        assert!(matches!(
+            SweepLog::open(&store, KEY, 10),
+            Err(CheckpointError::ParamsMismatch { .. })
+        ));
     }
 
     #[test]
     fn missing_journal_replays_empty() {
-        let path = std::env::temp_dir().join("sbgp_journal_never_written.journal");
-        let _ = std::fs::remove_file(&path);
-        let (units, report) = UnitJournal::replay(&path).unwrap();
-        assert!(units.is_empty());
-        assert!(report.is_clean());
+        // A crash before the header landed leaves an empty file; it
+        // resumes exactly like a missing one.
+        let store = Store::in_memory();
+        store.put_atomic(KEY, b"").unwrap();
+        let (log, resumed) = SweepLog::open(&store, KEY, 7).unwrap();
+        assert!(log.is_empty());
+        assert_eq!(resumed, Resumed::default());
+        let scan = recordlog::scan(KEY, &store.get(KEY).unwrap().unwrap(), &[LOG_KIND]).unwrap();
+        assert_eq!(scan.torn_bytes, 0);
+        assert!(scan.records.is_empty());
+    }
+
+    #[test]
+    fn journal_append_replay_round_trip() {
+        let store = Store::in_memory();
+        let r1 = sample_result(42, None);
+        let r2 = sample_result(43, None);
+        assert_ne!(r1.stats, crate::engine::EngineStats::default());
+        {
+            let (mut log, _) = SweepLog::open(&store, KEY, 7).unwrap();
+            log.insert("theta=0.05".into(), r1.clone()).unwrap();
+            log.insert("theta=0.10".into(), r1.clone()).unwrap();
+            // A re-completed unit keeps its first position and takes
+            // the latest result.
+            log.insert("theta=0.05".into(), r2.clone()).unwrap();
+        }
+        let scan = recordlog::scan(KEY, &store.get(KEY).unwrap().unwrap(), &[LOG_KIND]).unwrap();
+        assert_eq!(scan.records.len(), 3);
+        let replayed = replay(KEY, &scan).unwrap();
+        assert_eq!(replayed.fingerprint, 7);
+        assert!(replayed.leases.is_empty());
+        let units: Vec<(&str, &SimResult)> = replayed.units.iter().collect();
+        assert_eq!(units.len(), 2);
+        assert_eq!(units[0].0, "theta=0.05");
+        assert_eq!(units[1].0, "theta=0.10");
+        assert_eq!(units[0].1, &r2);
+        // Stats are not persisted: they decode to zeros.
+        assert_eq!(units[1].1.stats, crate::engine::EngineStats::default());
+    }
+
+    #[test]
+    fn params_mismatch_is_refused() {
+        let store = Store::in_memory();
+        SweepLog::open(&store, KEY, 1).unwrap();
+        match SweepLog::open(&store, KEY, 2) {
+            Err(CheckpointError::ParamsMismatch {
+                expected, found, ..
+            }) => assert_eq!((expected, found), (2, 1)),
+            other => panic!("expected ParamsMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn journal_leases_replay_and_discharge() {
+        let store = Store::in_memory();
+        {
+            let (mut log, _) = SweepLog::open(&store, KEY, 7).unwrap();
+            log.lease("theta=0.05", "127.0.0.1:9001").unwrap();
+            log.lease("theta=0.10", "process 4242").unwrap();
+            log.insert("theta=0.05".into(), sample_result(42, None))
+                .unwrap();
+            // Re-lease after a requeue: a second lease on the same key
+            // updates the holder rather than duplicating the entry.
+            log.lease("theta=0.10", "127.0.0.1:9002").unwrap();
+        }
+        let (log, resumed) = SweepLog::open(&store, KEY, 7).unwrap();
+        assert_eq!(log.len(), 1);
+        assert_eq!(
+            resumed.leases,
+            vec![("theta=0.10".to_string(), "127.0.0.1:9002".to_string())]
+        );
+        let scan = recordlog::scan(KEY, &store.get(KEY).unwrap().unwrap(), &[LOG_KIND]).unwrap();
+        assert_eq!(scan.records.len(), 4, "the header is not counted");
+    }
+
+    #[test]
+    fn torn_journal_tail_is_salvaged_not_fatal() {
+        let store = Store::in_memory();
+        {
+            let (mut log, _) = SweepLog::open(&store, KEY, 7).unwrap();
+            log.insert("good".into(), sample_result(42, None)).unwrap();
+            log.insert("doomed".into(), sample_result(43, None))
+                .unwrap();
+        }
+        let full = store.get(KEY).unwrap().unwrap();
+        store.put_atomic(KEY, &full[..full.len() - 10]).unwrap();
+        let (log, resumed) = SweepLog::open(&store, KEY, 7).unwrap();
+        assert_eq!(log.len(), 1);
+        assert!(log.get("good").is_some());
+        assert!(resumed.torn_bytes > 0);
+        let scan = recordlog::scan(KEY, &store.get(KEY).unwrap().unwrap(), &[LOG_KIND]).unwrap();
+        assert_eq!(scan.torn_bytes, 0, "open truncated the torn tail");
+    }
+
+    #[test]
+    fn a_damaged_unit_before_a_valid_one_is_corruption() {
+        let store = Store::in_memory();
+        {
+            let (mut log, _) = SweepLog::open(&store, KEY, 7).unwrap();
+            log.insert("first".into(), sample_result(42, None)).unwrap();
+            log.lease("second", "pid 1").unwrap();
+        }
+        let text = String::from_utf8(store.get(KEY).unwrap().unwrap()).unwrap();
+        let offset = text.find("\nrec ").unwrap() as u64 + 1;
+        let damaged = text.replacen("completeness", "c0mpleteness", 1);
+        store.put_atomic(KEY, damaged.as_bytes()).unwrap();
+        match SweepLog::open(&store, KEY, 7) {
+            Err(CheckpointError::Log(LogError::Corrupt {
+                offset: at,
+                dropped,
+                ..
+            })) => assert_eq!((at, dropped), (offset, 1)),
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        assert_eq!(store.get(KEY).unwrap().unwrap(), damaged.as_bytes());
+    }
+
+    #[test]
+    fn corrupt_file_is_a_typed_error() {
+        let store = Store::in_memory();
+        store
+            .put_atomic(KEY, &recordlog::frame("sweep 3 zzzz"))
+            .unwrap();
+        let scan = recordlog::scan(KEY, &store.get(KEY).unwrap().unwrap(), &[LOG_KIND]).unwrap();
+        assert!(matches!(
+            replay(KEY, &scan),
+            Err(CheckpointError::Corrupt { line: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn older_sweep_formats_are_refused_untouched() {
+        let store = Store::in_memory();
+        for old in [
+            "sbgp-checkpoint v2\nfingerprint 0000000000000007\nunits 0\nend\n".to_string(),
+            // A pre-header unit journal: a valid record, but no header.
+            String::from_utf8(recordlog::frame(&encode_unit(
+                "k",
+                &sample_result(42, None),
+            )))
+            .unwrap(),
+        ] {
+            store.put_atomic(KEY, old.as_bytes()).unwrap();
+            match SweepLog::open(&store, KEY, 7) {
+                Err(e @ CheckpointError::Log(LogError::Foreign { .. })) => {
+                    assert!(e.to_string().contains("delete it and rerun"), "{e}")
+                }
+                other => panic!("expected a foreign-format refusal, got {other:?}"),
+            }
+            assert_eq!(store.get(KEY).unwrap().unwrap(), old.as_bytes());
+        }
     }
 
     #[test]
@@ -1478,9 +1103,12 @@ mod tests {
             params_fingerprint(&["ab", "c"]),
             params_fingerprint(&["a", "bc"])
         );
+        // The fingerprint the fig9 harness computes for
+        // `--ases 150` at the default seed: resumable logs depend on
+        // this value never drifting.
         assert_eq!(
-            params_fingerprint(&["x", "y"]),
-            params_fingerprint(&["x", "y"])
+            params_fingerprint(&["cmd=fig9", "ases=150", "seed=42", "cp=0.1", "fail_links=0"]),
+            0x280a_9314_8892_497b
         );
     }
 }

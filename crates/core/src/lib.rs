@@ -64,6 +64,7 @@ mod state;
 pub mod checkpoint;
 pub mod guard;
 pub mod metrics;
+pub mod recordlog;
 pub mod resilience;
 pub mod scenario;
 pub mod serve;

@@ -1,27 +1,29 @@
 //! The simulation service's crash-survivable job board.
 //!
 //! `repro serve` keeps its queue state here: a [`JobBoard`] backed by a
-//! write-ahead journal on any [`Store`] backend, with the same
-//! discipline the sweep [`UnitJournal`](crate::checkpoint::UnitJournal)
-//! established — every state transition is an fsync'd append, replay
-//! rebuilds the exact queue, and results materialize exactly once
-//! (dedup by job id, idempotent re-puts of deterministic bytes).
+//! write-ahead [`recordlog`](crate::recordlog) on any [`Store`] backend
+//! — the same checksummed format the sweep log uses. Every state
+//! transition is an fsync'd append, replay rebuilds the exact queue,
+//! and results materialize exactly once (dedup by job id, idempotent
+//! re-puts of deterministic bytes).
 //!
-//! The journal vocabulary (one record per line, hex-armored strings):
+//! The log's header is `joblog 2`; the record payloads (strings
+//! hex-armored, as in the sweep codec):
 //!
 //! ```text
-//! sbgp-joblog 1
-//! sub <id> <hex cmd> <hex config> <hex client>   job submitted
-//! sta <id> <attempt>                             attempt started
-//! don <id>                                       result materialized
-//! fai <id> <hex error>                           attempt failed
-//! par <id>                                       quarantined (poisoned)
+//! sub <hex cmd> <hex config> <hex client>   job submitted
+//! sta <id> <attempt>                        attempt started
+//! don <id>                                  result materialized
+//! fai <id> <hex error>                      attempt failed
+//! par <id>                                  quarantined (poisoned)
 //! ```
 //!
-//! A crash mid-append leaves a final line without its newline; replay
-//! treats everything after the last complete record as a torn tail
-//! ([`JoblogReport::torn_bytes`]) and [`JobBoard::open`] truncates it —
-//! the record either fully happened or never happened.
+//! A `sub` record carries no id: replay derives it from `(cmd,
+//! config)` with [`JobSpec::id`], so a record can never bind one spec
+//! to another spec's id. A crash mid-append leaves a torn tail that
+//! [`JobBoard::open`] truncates — the record either fully happened or
+//! never happened; a damaged record followed by valid ones is a typed
+//! [`ServeError::Corrupt`] and the board does not open.
 //!
 //! Poisoned-job quarantine: a job whose attempt record appears
 //! [`MAX_ATTEMPTS`] times with no completion took its executor (or the
@@ -29,12 +31,15 @@
 //! requeuing, writing a replayable artifact under `serve/parked/`, so
 //! one poisoned spec can never crash-loop the service.
 
+use crate::checkpoint::codec::{hex_str, unhex_str};
+use crate::recordlog::{self, LogError, RecordLog, Scan};
 use crate::storage::{StorageError, Store};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-/// Journal header line (first line of every job log).
-pub const JOBLOG_HEADER: &str = "sbgp-joblog 1";
+/// Kind and version of the job log header (versioned like
+/// [`crate::checkpoint::LOG_KIND`]).
+pub const LOG_KIND: &str = "joblog 2";
 
 /// Attempts a job gets before it is parked as poisoned: a job that has
 /// killed its executor twice never gets a third shot at the daemon.
@@ -47,7 +52,7 @@ pub enum ServeError {
     Storage(StorageError),
     /// The journal's contents are not a valid job log.
     Corrupt {
-        /// What was wrong (line-precise where possible).
+        /// What was wrong (byte-precise where possible).
         message: String,
     },
 }
@@ -76,32 +81,15 @@ impl From<StorageError> for ServeError {
     }
 }
 
-/// Hex-encode a string's UTF-8 bytes (empty string → `-`), matching
-/// the checkpoint codec's armoring so journal lines stay greppable.
-fn hexs(s: &str) -> String {
-    use std::fmt::Write as _;
-    if s.is_empty() {
-        return "-".to_string();
+impl From<LogError> for ServeError {
+    fn from(e: LogError) -> Self {
+        match e {
+            LogError::Storage(e) => ServeError::Storage(e),
+            e => ServeError::Corrupt {
+                message: e.to_string(),
+            },
+        }
     }
-    let mut out = String::with_capacity(s.len() * 2);
-    for b in s.bytes() {
-        let _ = write!(out, "{b:02x}");
-    }
-    out
-}
-
-fn unhexs(tok: &str) -> Option<String> {
-    if tok == "-" {
-        return Some(String::new());
-    }
-    if !tok.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(tok.len() / 2);
-    for i in (0..tok.len()).step_by(2) {
-        bytes.push(u8::from_str_radix(tok.get(i..i + 2)?, 16).ok()?);
-    }
-    String::from_utf8(bytes).ok()
 }
 
 /// What a client asked the service to run: a figure/scenario command
@@ -140,11 +128,7 @@ impl JobSpec {
     /// `cmd \n config`. Identical specs always get identical ids, so
     /// repeat submissions hit the result cache instead of recomputing.
     pub fn id(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.cmd.bytes().chain([b'\n']).chain(self.config.bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = recordlog::fnv1a([self.cmd.as_bytes(), b"\n", self.config.as_bytes()]);
         format!("{h:016x}")
     }
 }
@@ -246,12 +230,9 @@ pub struct ReplaySummary {
     pub torn_bytes: u64,
 }
 
-/// A read-only inspection of a job log (the doctor's view — nothing is
-/// written or truncated).
+/// A job log's queue, as `repro doctor` reports it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoblogReport {
-    /// Complete records replayed.
-    pub records: usize,
     /// Jobs currently queued.
     pub queued: usize,
     /// Jobs that were running when the daemon stopped.
@@ -260,45 +241,26 @@ pub struct JoblogReport {
     pub done: usize,
     /// Jobs quarantined.
     pub parked: usize,
-    /// Bytes of complete records (the salvage truncation point).
-    pub valid_bytes: u64,
-    /// Torn trailing bytes after the last complete record.
-    pub torn_bytes: u64,
 }
 
 /// One parsed journal record.
 enum Record {
-    Sub {
-        id: String,
-        cmd: String,
-        config: String,
-        client: String,
-    },
-    Sta {
-        id: String,
-        attempt: u32,
-    },
-    Don {
-        id: String,
-    },
-    Fai {
-        id: String,
-        error: String,
-    },
-    Par {
-        id: String,
-    },
+    Sub { spec: JobSpec, client: String },
+    Sta { id: String, attempt: u32 },
+    Don { id: String },
+    Fai { id: String, error: String },
+    Par { id: String },
 }
 
-fn parse_record(line: &str) -> Option<Record> {
-    let mut t = line.split_ascii_whitespace();
-    let tag = t.next()?;
-    let rec = match tag {
+fn parse_record(payload: &str) -> Option<Record> {
+    let mut t = payload.split(' ');
+    let rec = match t.next()? {
         "sub" => Record::Sub {
-            id: t.next()?.to_string(),
-            cmd: unhexs(t.next()?)?,
-            config: unhexs(t.next()?)?,
-            client: unhexs(t.next()?)?,
+            spec: JobSpec {
+                cmd: unhex_str(t.next()?)?,
+                config: unhex_str(t.next()?)?,
+            },
+            client: unhex_str(t.next()?)?,
         },
         "sta" => Record::Sta {
             id: t.next()?.to_string(),
@@ -309,7 +271,7 @@ fn parse_record(line: &str) -> Option<Record> {
         },
         "fai" => Record::Fai {
             id: t.next()?.to_string(),
-            error: unhexs(t.next()?)?,
+            error: unhex_str(t.next()?)?,
         },
         "par" => Record::Par {
             id: t.next()?.to_string(),
@@ -322,65 +284,27 @@ fn parse_record(line: &str) -> Option<Record> {
     Some(rec)
 }
 
-/// The board state a journal replay reconstructs: the jobs, the queue
-/// (submit order, minus terminal jobs), and the report.
-type ReplayedBoard = (HashMap<String, Job>, VecDeque<String>, JoblogReport);
+/// The board state a journal replay reconstructs: the jobs and the
+/// queue (submit order, minus terminal jobs).
+type ReplayedBoard = (HashMap<String, Job>, VecDeque<String>);
 
-/// Replay a journal's text into board state without touching storage.
-/// Torn tails stop the replay, they never fail it.
-fn replay_text(text: &str) -> Result<ReplayedBoard, ServeError> {
+/// Replay a scanned job log into board state without touching storage.
+fn replay(scan: &Scan) -> Result<ReplayedBoard, ServeError> {
     let mut jobs: HashMap<String, Job> = HashMap::new();
     let mut queue: VecDeque<String> = VecDeque::new();
-    let mut report = JoblogReport::default();
-    let mut offset = 0u64;
-    let mut lines = text.split_inclusive('\n');
-    // Header first; an empty journal (just created) has no bytes yet.
-    match lines.next() {
-        None => return Ok((jobs, queue, report)),
-        Some(first) => {
-            if !first.ends_with('\n') {
-                report.torn_bytes = first.len() as u64;
-                return Ok((jobs, queue, report));
-            }
-            if first.trim_end() != JOBLOG_HEADER {
-                return Err(ServeError::Corrupt {
-                    message: format!(
-                        "line 1: expected {JOBLOG_HEADER:?}, got {:?}",
-                        first.trim_end()
-                    ),
-                });
-            }
-            offset += first.len() as u64;
-            report.valid_bytes = offset;
-        }
-    }
-    for line in lines {
-        let complete = line.ends_with('\n');
-        let parsed = if complete {
-            parse_record(line.trim_end_matches('\n'))
-        } else {
-            None
-        };
-        let Some(rec) = parsed else {
-            // Torn tail: everything from here to EOF is a crashed
-            // append (or trailing garbage — same treatment).
-            report.torn_bytes = text.len() as u64 - offset;
-            break;
-        };
-        offset += line.len() as u64;
-        report.valid_bytes = offset;
-        report.records += 1;
+    for (offset, payload) in &scan.records {
+        // The checksum verified, so an unparseable payload is a writer
+        // bug, not a torn write.
+        let rec = parse_record(payload).ok_or_else(|| ServeError::Corrupt {
+            message: format!("record at byte {offset} does not parse: {payload:?}"),
+        })?;
         match rec {
-            Record::Sub {
-                id,
-                cmd,
-                config,
-                client,
-            } => {
+            Record::Sub { spec, client } => {
+                let id = spec.id();
                 jobs.entry(id.clone()).or_insert_with(|| {
-                    queue.push_back(id.clone());
+                    queue.push_back(id);
                     Job {
-                        spec: JobSpec { cmd, config },
+                        spec,
                         client,
                         attempts: 0,
                         phase: Phase::Queued,
@@ -421,6 +345,14 @@ fn replay_text(text: &str) -> Result<ReplayedBoard, ServeError> {
             }
         }
     }
+    Ok((jobs, queue))
+}
+
+/// Count the queue a scanned job log encodes (`repro doctor`'s
+/// summary; nothing is written).
+pub fn summarize(scan: &Scan) -> Result<JoblogReport, ServeError> {
+    let (jobs, _) = replay(scan)?;
+    let mut report = JoblogReport::default();
     for j in jobs.values() {
         match j.phase {
             Phase::Done => report.done += 1,
@@ -429,38 +361,14 @@ fn replay_text(text: &str) -> Result<ReplayedBoard, ServeError> {
             Phase::Queued => report.queued += 1,
         }
     }
-    Ok((jobs, queue, report))
-}
-
-/// Read-only journal inspection for `repro doctor`: replays the log
-/// and reports counts plus any torn tail, writing nothing.
-pub fn inspect_joblog(store: &Store, key: &str) -> Result<JoblogReport, ServeError> {
-    let bytes = store.get(key)?.ok_or_else(|| ServeError::Corrupt {
-        message: "no such journal".into(),
-    })?;
-    let text = String::from_utf8_lossy(&bytes);
-    let (_, _, report) = replay_text(&text)?;
     Ok(report)
-}
-
-/// Truncate a torn job-log tail to the last complete record (the
-/// doctor's `--fix` action). Returns the post-salvage report.
-pub fn salvage_joblog(store: &Store, key: &str) -> Result<JoblogReport, ServeError> {
-    let report = inspect_joblog(store, key)?;
-    if report.torn_bytes > 0 {
-        store.truncate(key, report.valid_bytes)?;
-    }
-    Ok(JoblogReport {
-        torn_bytes: 0,
-        ..report
-    })
 }
 
 /// The serve daemon's job queue: bounded admission in front, a
 /// write-ahead journal underneath, exactly-once results behind.
 pub struct JobBoard {
     store: Store,
-    key: String,
+    log: RecordLog,
     jobs: HashMap<String, Job>,
     queue: VecDeque<String>,
     queue_bound: usize,
@@ -493,22 +401,12 @@ impl JobBoard {
         queue_bound: usize,
         client_cap: usize,
     ) -> Result<(JobBoard, ReplaySummary), ServeError> {
-        let existing = store.get(key)?;
-        let text = match &existing {
-            Some(bytes) => String::from_utf8_lossy(bytes).into_owned(),
-            None => String::new(),
-        };
-        let (mut jobs, mut queue, report) = replay_text(&text)?;
-        if report.torn_bytes > 0 {
-            store.truncate(key, report.valid_bytes)?;
-        }
-        if existing.is_none() || report.valid_bytes == 0 {
-            store.append_durable(key, format!("{JOBLOG_HEADER}\n").as_bytes())?;
-        }
+        let (log, scan) = RecordLog::open(store, key, LOG_KIND)?;
+        let (mut jobs, mut queue) = replay(&scan)?;
         let mut summary = ReplaySummary {
-            resumed_queued: report.queued,
-            done: report.done,
-            torn_bytes: report.torn_bytes,
+            resumed_queued: jobs.values().filter(|j| j.phase == Phase::Queued).count(),
+            done: jobs.values().filter(|j| j.phase == Phase::Done).count(),
+            torn_bytes: scan.torn_bytes,
             ..ReplaySummary::default()
         };
         // Jobs mid-run at crash time: requeue at the front, or park on
@@ -521,7 +419,7 @@ impl JobBoard {
             .collect();
         let mut board = JobBoard {
             store: store.clone(),
-            key: key.to_string(),
+            log,
             jobs: HashMap::new(),
             queue: VecDeque::new(),
             queue_bound: queue_bound.max(1),
@@ -535,8 +433,8 @@ impl JobBoard {
                 j.phase = Phase::Parked;
                 j.error
                     .get_or_insert_with(|| "daemon died during the final attempt".into());
-                board.append(&format!("par {id}\n"))?;
-                board.write_parked_artifact(&id, j, store)?;
+                board.log.append(&format!("par {id}"))?;
+                write_parked_artifact(store, &id, j)?;
                 summary.parked_on_replay += 1;
             } else {
                 j.phase = Phase::Queued;
@@ -547,35 +445,6 @@ impl JobBoard {
         board.jobs = jobs;
         board.queue = queue;
         Ok((board, summary))
-    }
-
-    fn append(&self, record: &str) -> Result<(), ServeError> {
-        self.store.append_durable(&self.key, record.as_bytes())?;
-        Ok(())
-    }
-
-    fn write_parked_artifact(&self, id: &str, j: &Job, store: &Store) -> Result<(), ServeError> {
-        let artifact = format!(
-            "# parked poisoned job {id} (failed {} attempt(s))\n\
-             # cmd: {}\n\
-             # client: {}\n\
-             # last error: {}\n\
-             # replay: repro {} --config <this file>\n\
-             {}",
-            j.attempts,
-            j.spec.cmd,
-            j.client,
-            j.error
-                .as_deref()
-                .unwrap_or("?")
-                .lines()
-                .next()
-                .unwrap_or("?"),
-            j.spec.cmd,
-            j.spec.config,
-        );
-        store.put_atomic(&Self::parked_key(id), artifact.as_bytes())?;
-        Ok(())
     }
 
     /// Admission control: the one front door for submissions.
@@ -612,11 +481,11 @@ impl JobBoard {
                 cap: self.client_cap,
             });
         }
-        self.append(&format!(
-            "sub {id} {} {} {}\n",
-            hexs(&spec.cmd),
-            hexs(&spec.config),
-            hexs(client)
+        self.log.append(&format!(
+            "sub {} {} {}",
+            hex_str(&spec.cmd),
+            hex_str(&spec.config),
+            hex_str(client)
         ))?;
         self.jobs.insert(
             id.clone(),
@@ -647,8 +516,7 @@ impl JobBoard {
         // Journal first, pop second: if the append fails (disk chaos)
         // the queue is untouched and the job is simply retried later,
         // never stranded in a popped-but-not-started limbo.
-        self.store
-            .append_durable(&self.key, format!("sta {id} {attempt}\n").as_bytes())?;
+        self.log.append(&format!("sta {id} {attempt}"))?;
         self.queue.pop_front();
         let j = self.jobs.get_mut(&id).expect("queued ids are registered");
         j.attempts = attempt;
@@ -662,7 +530,7 @@ impl JobBoard {
     /// missing result behind a `don` record.
     pub fn complete(&mut self, id: &str, result: &[u8]) -> Result<(), ServeError> {
         self.store.put_atomic(&Self::result_key(id), result)?;
-        self.append(&format!("don {id}\n"))?;
+        self.log.append(&format!("don {id}"))?;
         if let Some(j) = self.jobs.get_mut(id) {
             j.phase = Phase::Done;
             j.error = None;
@@ -674,7 +542,7 @@ impl JobBoard {
     /// or park as poisoned on the [`MAX_ATTEMPTS`]th strike. Returns
     /// the job's new phase.
     pub fn fail(&mut self, id: &str, error: &str) -> Result<Phase, ServeError> {
-        self.append(&format!("fai {id} {}\n", hexs(error)))?;
+        self.log.append(&format!("fai {id} {}", hex_str(error)))?;
         let Some(j) = self.jobs.get_mut(id) else {
             return Err(ServeError::Corrupt {
                 message: format!("fail for unknown job {id}"),
@@ -683,9 +551,8 @@ impl JobBoard {
         j.error = Some(error.to_string());
         if j.attempts >= MAX_ATTEMPTS {
             j.phase = Phase::Parked;
-            self.append(&format!("par {id}\n"))?;
-            let j = self.jobs[id].clone();
-            self.write_parked_artifact(id, &j, &self.store.clone())?;
+            self.log.append(&format!("par {id}"))?;
+            write_parked_artifact(&self.store, id, &self.jobs[id])?;
             Ok(Phase::Parked)
         } else {
             j.phase = Phase::Queued;
@@ -729,6 +596,30 @@ impl JobBoard {
     }
 }
 
+fn write_parked_artifact(store: &Store, id: &str, j: &Job) -> Result<(), ServeError> {
+    let artifact = format!(
+        "# parked poisoned job {id} (failed {} attempt(s))\n\
+         # cmd: {}\n\
+         # client: {}\n\
+         # last error: {}\n\
+         # replay: repro {} --config <this file>\n\
+         {}",
+        j.attempts,
+        j.spec.cmd,
+        j.client,
+        j.error
+            .as_deref()
+            .unwrap_or("?")
+            .lines()
+            .next()
+            .unwrap_or("?"),
+        j.spec.cmd,
+        j.spec.config,
+    );
+    store.put_atomic(&JobBoard::parked_key(id), artifact.as_bytes())?;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -737,8 +628,10 @@ mod tests {
         JobSpec::new("fig9", &format!("ases = 150\ntheta = {theta}\n"))
     }
 
+    const KEY: &str = "serve/jobs.joblog";
+
     fn board(store: &Store) -> JobBoard {
-        JobBoard::open(store, "serve/jobs.joblog", 4, 2).unwrap().0
+        JobBoard::open(store, KEY, 4, 2).unwrap().0
     }
 
     #[test]
@@ -930,17 +823,16 @@ mod tests {
             let mut b = board(&store);
             b.submit(spec("0.1"), "a").unwrap();
         }
-        store
-            .append_durable("serve/jobs.joblog", b"sta deadbeef")
-            .unwrap(); // no newline: a crashed append
-        let report = inspect_joblog(&store, "serve/jobs.joblog").unwrap();
-        assert_eq!(report.records, 1);
-        assert_eq!(report.torn_bytes, 12);
-        let (b, summary) = JobBoard::open(&store, "serve/jobs.joblog", 4, 2).unwrap();
-        assert_eq!(summary.torn_bytes, 12);
+        store.append_durable(KEY, b"rec 20 0123").unwrap(); // a crashed append
+        let scan = recordlog::scan(KEY, &store.get(KEY).unwrap().unwrap(), &[LOG_KIND]).unwrap();
+        assert_eq!(scan.records.len(), 1, "the header is not counted");
+        assert_eq!(scan.torn_bytes, 11);
+        let (b, summary) = JobBoard::open(&store, KEY, 4, 2).unwrap();
+        assert_eq!(summary.torn_bytes, 11);
         assert_eq!(b.queue_len(), 1, "the complete record survives");
-        let report = inspect_joblog(&store, "serve/jobs.joblog").unwrap();
-        assert_eq!(report.torn_bytes, 0, "open truncated the tail");
+        let scan = recordlog::scan(KEY, &store.get(KEY).unwrap().unwrap(), &[LOG_KIND]).unwrap();
+        assert_eq!(scan.torn_bytes, 0, "open truncated the tail");
+        assert_eq!(summarize(&scan).unwrap().queued, 1);
     }
 
     #[test]
@@ -951,26 +843,108 @@ mod tests {
             b.submit(spec("0.1"), "a").unwrap();
             b.submit(spec("0.2"), "b").unwrap();
         }
-        store
-            .append_durable("serve/jobs.joblog", b"fai bad")
-            .unwrap();
-        let r = salvage_joblog(&store, "serve/jobs.joblog").unwrap();
-        assert_eq!(r.records, 2);
-        assert_eq!(r.torn_bytes, 0);
-        let (b, _) = JobBoard::open(&store, "serve/jobs.joblog", 4, 2).unwrap();
+        store.append_durable(KEY, b"rec 7 00").unwrap(); // a crashed append
+        let r = recordlog::repair(&store, KEY, &[LOG_KIND]).unwrap();
+        assert_eq!(r.scan.records.len(), 2);
+        assert_eq!(
+            (r.scan.torn_bytes, r.cut_bytes, r.dropped_records),
+            (0, 8, 0)
+        );
+        let (b, summary) = JobBoard::open(&store, KEY, 4, 2).unwrap();
+        assert_eq!(summary.torn_bytes, 0);
         assert_eq!(b.queue_len(), 2);
     }
 
     #[test]
     fn foreign_header_is_a_typed_corruption() {
+        // A well-formed log of another kind: a sweep log is not a job
+        // board, and must not be truncated into one.
         let store = Store::in_memory();
-        store
-            .put_atomic("serve/jobs.joblog", b"rec 12 deadbeef\n")
-            .unwrap();
-        let err = match JobBoard::open(&store, "serve/jobs.joblog", 4, 2) {
+        crate::checkpoint::SweepLog::open(&store, KEY, 7).unwrap();
+        let sweep = store.get(KEY).unwrap().unwrap();
+        let err = match JobBoard::open(&store, KEY, 4, 2) {
             Err(e) => e,
             Ok(_) => panic!("foreign header must not open"),
         };
+        assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("line 1"), "{err}");
+        assert_eq!(store.get(KEY).unwrap().unwrap(), sweep);
+    }
+
+    #[test]
+    fn a_flipped_digit_in_a_submission_is_corruption_not_another_job() {
+        let store = Store::in_memory();
+        {
+            let mut b = board(&store);
+            let id = match b.submit(spec("0.1"), "a").unwrap() {
+                Admission::Accepted { id } => id,
+                other => panic!("expected Accepted, got {other:?}"),
+            };
+            assert_eq!(id, "29c28158a95da19f", "job ids are pinned");
+            assert_eq!(spec("0.2").id(), "29c5f758a9609ff8");
+            b.submit(spec("0.3"), "b").unwrap();
+            b.start_next().unwrap().unwrap();
+        }
+        let text = String::from_utf8(store.get(KEY).unwrap().unwrap()).unwrap();
+        assert_eq!(text.matches("302e31").count(), 1, "{text}");
+        let flipped = text.replacen("302e31", "302e32", 1);
+        store.put_atomic(KEY, flipped.as_bytes()).unwrap();
+        match JobBoard::open(&store, KEY, 4, 2) {
+            Err(ServeError::Corrupt { .. }) => {}
+            Err(e) => panic!("expected typed corruption, got {e}"),
+            Ok((b, _)) => panic!(
+                "flipped journal opened: job 29c28158a95da19f now holds {:?}",
+                b.job("29c28158a95da19f").map(|j| j.spec.config.clone())
+            ),
+        }
+        assert_eq!(store.get(KEY).unwrap().unwrap(), flipped.as_bytes());
+    }
+
+    #[test]
+    fn a_damaged_record_before_valid_ones_is_corruption_not_a_torn_tail() {
+        let store = Store::in_memory();
+        {
+            let mut b = JobBoard::open(&store, KEY, 4, 4).unwrap().0;
+            for theta in ["0.1", "0.2", "0.3"] {
+                assert!(matches!(
+                    b.submit(spec(theta), "a").unwrap(),
+                    Admission::Accepted { .. }
+                ));
+            }
+        }
+        let text = String::from_utf8(store.get(KEY).unwrap().unwrap()).unwrap();
+        let damaged = text.replacen("sub ", "sxb ", 1);
+        store.put_atomic(KEY, damaged.as_bytes()).unwrap();
+        match JobBoard::open(&store, KEY, 4, 4) {
+            Err(e @ ServeError::Corrupt { .. }) => {
+                assert!(e.to_string().contains("byte"), "no offset named: {e}")
+            }
+            Err(e) => panic!("expected typed corruption, got {e}"),
+            Ok((b, s)) => panic!(
+                "damaged journal opened with {} queued job(s) after dropping {} byte(s)",
+                b.queue_len(),
+                s.torn_bytes
+            ),
+        }
+        assert_eq!(
+            store.get(KEY).unwrap().unwrap(),
+            damaged.as_bytes(),
+            "a damaged journal must not be truncated by open"
+        );
+    }
+
+    #[test]
+    fn older_job_logs_are_refused_untouched() {
+        let store = Store::in_memory();
+        let v1 = "sbgp-joblog 1\nsub 29c28158a95da19f 66696739 2d 61\n";
+        store.put_atomic(KEY, v1.as_bytes()).unwrap();
+        let err = match JobBoard::open(&store, KEY, 4, 2) {
+            Err(e) => e,
+            Ok(_) => panic!("an sbgp-joblog 1 file must not open"),
+        };
+        assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("line 1"), "{err}");
+        assert!(err.to_string().contains("delete it and rerun"), "{err}");
+        assert_eq!(store.get(KEY).unwrap().unwrap(), v1.as_bytes());
     }
 }

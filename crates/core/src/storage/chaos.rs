@@ -19,7 +19,7 @@
 //!   rename leaves;
 //! * **torn**: `put_atomic` spills *half* the temporary file;
 //!   `append_durable` really appends half the record to the inner
-//!   backend, then fails — the checksummed journal's salvage path must
+//!   backend, then fails — the record log's torn-tail truncation must
 //!   cut the partial record off;
 //! * **enospc** / **eio**: the operation fails before touching the
 //!   inner backend (a full disk rejects the write; a flaky bus errors
@@ -369,8 +369,8 @@ impl<B: StorageBackend> StorageBackend for FaultStore<B> {
         let op = "append_durable";
         match self.draw(true, false) {
             Fault::Torn | Fault::Crash => {
-                // A torn append really lands its prefix: the journal's
-                // salvage path has to cut the partial record off.
+                // A torn append really lands its prefix: the record
+                // log's torn-tail truncation has to cut it off.
                 self.inner.append_durable(key, &bytes[..bytes.len() / 2])?;
                 Err(self.injected(op, key, "torn append (partial record on disk)"))
             }

@@ -14,7 +14,7 @@
 //! * **Durable appends** ([`StorageBackend::append_durable`]): bytes
 //!   are on stable storage when the call returns; on failure a
 //!   *prefix* of the bytes may have landed (a torn tail), which is why
-//!   the journal checksums its records and salvages;
+//!   the record log checksums its records and truncates torn tails;
 //! * **Advisory locks** ([`StorageBackend::try_lock`] /
 //!   [`StorageBackend::takeover`]): first-writer-wins acquisition with
 //!   an explicit compare-and-swap takeover path for locks whose owner
@@ -163,7 +163,7 @@ pub trait StorageBackend: Send + Sync {
     /// Append `bytes` to `key` (creating it if missing) and flush to
     /// stable storage. On `Err`, a *prefix* of `bytes` may have landed
     /// — callers needing record integrity must frame/checksum their
-    /// records (the journal does) or go through [`Store`], which
+    /// records (the record log does) or go through [`Store`], which
     /// truncates back before retrying.
     fn append_durable(&self, key: &str, bytes: &[u8]) -> Result<(), StorageError>;
 

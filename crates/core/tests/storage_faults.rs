@@ -3,19 +3,21 @@
 //! Three invariants, each under a seeded fault schedule:
 //!
 //! * **Fully-old-or-fully-new** — an ENOSPC or crash-before-rename
-//!   during `put_atomic` (checkpoint save) leaves the previous bytes
-//!   intact, never a torn file; at worst a stray `.tmp` remains.
-//! * **Torn appends never corrupt** — a short journal append either
+//!   during `put_atomic` (a figure CSV, a served result) leaves the
+//!   previous bytes intact, never a torn file; at worst a stray `.tmp`
+//!   remains.
+//! * **Torn appends never corrupt** — a short record-log append either
 //!   retries to exactly one clean copy (the `Store` truncate-on-retry
 //!   protocol) or, when the failure is terminal, leaves a tail the
-//!   journal codec detects and salvages.
-//! * **Faults cost retries, never answers** — a checkpoint saved
-//!   through a flaky store is byte-identical to one saved cleanly,
-//!   and loads back equal.
+//!   log detects and truncates on the next open.
+//! * **Faults cost retries, never answers** — a sweep log written
+//!   through a flaky store is byte-identical to one written cleanly,
+//!   and reads back equal.
 
 use sbgp_asgraph::gen::{generate, GenParams};
 use sbgp_asgraph::Weights;
-use sbgp_core::checkpoint::{params_fingerprint, SweepCheckpoint, UnitJournal};
+use sbgp_core::checkpoint::{params_fingerprint, SweepLog, LOG_KIND};
+use sbgp_core::recordlog;
 use sbgp_core::storage::{DiskChaosProfile, InMemory, LocalDisk, RetryPolicy, Store};
 use sbgp_core::{EarlyAdopters, SimConfig, SimResult, Simulation};
 use sbgp_routing::HashTieBreak;
@@ -28,7 +30,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A small real simulation result, so the checkpoints under torture
+/// A small real simulation result, so the logs under torture
 /// carry actual unit payloads (hex-encoded f64s and all).
 fn sample_result() -> SimResult {
     let g = generate(&GenParams::new(120, 7)).graph;
@@ -50,24 +52,45 @@ fn chaos_store_at(dir: &PathBuf, spec: &str) -> Store {
 
 #[test]
 fn enospc_during_checkpoint_save_leaves_fully_old_bytes() {
-    let dir = tmp_dir("enospc");
+    let dir = tmp_dir("enospc-log");
     let clean = Store::localdisk(&dir);
-
-    let mut ckpt = SweepCheckpoint::new(params_fingerprint(&["v=1"]));
-    ckpt.insert("unit-a".to_string(), sample_result());
-    ckpt.save_to(&clean, "sweep.ckpt").unwrap();
+    let fp = params_fingerprint(&["v=1"]);
+    let (mut log, _) = SweepLog::open(&clean, "sweep.ckpt", fp).unwrap();
+    log.insert("unit-a".to_string(), sample_result()).unwrap();
     let old = clean.get("sweep.ckpt").unwrap().unwrap();
 
-    // Every write now hits ENOSPC; the save must fail as transient
+    // Every write now hits ENOSPC; saving the next unit must fail as
+    // transient and leave the log exactly as it was.
+    let full = chaos_store_at(&dir, "enospc=1,seed=1");
+    let (mut log, _) = SweepLog::open(&full, "sweep.ckpt", fp).unwrap();
+    let err = log
+        .insert("unit-b".to_string(), sample_result())
+        .unwrap_err();
+    assert!(err.to_string().contains("ENOSPC"), "{err}");
+    assert_eq!(clean.get("sweep.ckpt").unwrap().unwrap(), old);
+    let (reloaded, resumed) = SweepLog::open(&clean, "sweep.ckpt", fp).unwrap();
+    assert_eq!(reloaded.len(), 1);
+    assert_eq!(resumed.torn_bytes, 0);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn enospc_during_atomic_replace_leaves_fully_old_bytes() {
+    let dir = tmp_dir("enospc");
+    let clean = Store::localdisk(&dir);
+    clean.put_atomic("fig9.csv", b"old,bytes\n").unwrap();
+
+    // Every write now hits ENOSPC; the replace must fail as transient
     // (a retrying caller would eventually succeed on a real disk) and
     // must not have touched the published file.
     let full = chaos_store_at(&dir, "enospc=1,seed=1");
-    ckpt.insert("unit-b".to_string(), sample_result());
-    let err = ckpt.save_to(&full, "sweep.ckpt").unwrap_err();
+    let err = full.put_atomic("fig9.csv", b"new,bytes\n").unwrap_err();
     assert!(err.to_string().contains("ENOSPC"), "{err}");
-    assert_eq!(clean.get("sweep.ckpt").unwrap().unwrap(), old);
-    let reloaded = SweepCheckpoint::inspect_from(&clean, "sweep.ckpt").unwrap();
-    assert_eq!(reloaded.len(), 1);
+    assert!(err.is_transient());
+    assert_eq!(
+        clean.get("fig9.csv").unwrap().as_deref(),
+        Some(&b"old,bytes\n"[..])
+    );
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -114,26 +137,32 @@ fn torn_appends_retry_to_exactly_one_copy() {
 fn terminal_torn_journal_append_is_detected_and_salvaged() {
     let dir = tmp_dir("torn-journal");
     let clean = Store::localdisk(&dir);
-    let mut journal = UnitJournal::open_in(&clean, "s.journal").unwrap();
-    journal.append_lease("unit-a", "pid 1").unwrap();
-    let good_len = clean.len("s.journal").unwrap().unwrap();
+    let (mut log, _) = SweepLog::open(&clean, "s.ckpt", 1).unwrap();
+    log.lease("unit-a", "pid 1").unwrap();
+    let good_len = clean.len("s.ckpt").unwrap().unwrap();
 
     // A torn append with no retry budget — the crash model: half a
     // record lands and the process dies.
     let torn = chaos_store_at(&dir, "torn=1,seed=6");
-    let mut dying = UnitJournal::open_in(&torn, "s.journal").unwrap();
-    dying.append_lease("unit-b", "pid 1").unwrap_err();
-    assert!(clean.len("s.journal").unwrap().unwrap() > good_len);
+    let (mut dying, _) = SweepLog::open(&torn, "s.ckpt", 1).unwrap();
+    dying.lease("unit-b", "pid 1").unwrap_err();
+    assert!(clean.len("s.ckpt").unwrap().unwrap() > good_len);
 
-    // Replay detects the torn tail and keeps the complete record;
-    // salvage truncates back to it.
-    let (records, report) = UnitJournal::replay_records_in(&clean, "s.journal").unwrap();
-    assert_eq!(records.len(), 1);
-    assert!(!report.is_clean());
-    assert_eq!(report.valid_bytes, good_len);
-    let salvaged = UnitJournal::salvage_in(&clean, "s.journal").unwrap();
-    assert_eq!(salvaged.records, 1);
-    assert_eq!(clean.len("s.journal").unwrap().unwrap(), good_len);
+    // The scan sees the torn tail after the complete record; the next
+    // open truncates back to it.
+    let scan = recordlog::scan(
+        "s.ckpt",
+        &clean.get("s.ckpt").unwrap().unwrap(),
+        &[LOG_KIND],
+    )
+    .unwrap();
+    assert_eq!(scan.records.len(), 1);
+    assert!(scan.torn_bytes > 0);
+    assert_eq!(scan.valid_bytes, good_len);
+    let (_, resumed) = SweepLog::open(&clean, "s.ckpt", 1).unwrap();
+    assert_eq!(resumed.leases.len(), 1);
+    assert_eq!(resumed.torn_bytes, scan.torn_bytes);
+    assert_eq!(clean.len("s.ckpt").unwrap().unwrap(), good_len);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -141,27 +170,27 @@ fn terminal_torn_journal_append_is_detected_and_salvaged() {
 fn flaky_store_saves_byte_identical_checkpoints() {
     let dir = tmp_dir("flaky");
     let result = sample_result();
-
-    let mut ckpt = SweepCheckpoint::new(params_fingerprint(&["v=2"]));
-    ckpt.insert("unit-a".to_string(), result);
+    let fp = params_fingerprint(&["v=2"]);
 
     let clean = Store::localdisk(&dir);
-    ckpt.save_to(&clean, "clean.ckpt").unwrap();
+    let (mut log, _) = SweepLog::open(&clean, "clean.ckpt", fp).unwrap();
+    log.insert("unit-a".to_string(), result.clone()).unwrap();
 
     // Aggressive-but-survivable schedule with the default retry
     // budget: EIO, detected read corruption, and torn writes on every
     // category of operation.
     let profile = DiskChaosProfile::parse("eio=0.2,corrupt=0.15,torn=0.2,seed=9").unwrap();
     let flaky = Store::with_chaos(LocalDisk::new(&dir), profile);
-    ckpt.save_to(&flaky, "flaky.ckpt").unwrap();
+    let (mut log, _) = SweepLog::open(&flaky, "flaky.ckpt", fp).unwrap();
+    log.insert("unit-a".to_string(), result.clone()).unwrap();
 
     let a = clean.get("clean.ckpt").unwrap().unwrap();
     let b = clean.get("flaky.ckpt").unwrap().unwrap();
     assert_eq!(a, b, "injected faults changed the persisted bytes");
     assert!(flaky.fault_ledger().unwrap().total() > 0);
 
-    // And the flaky copy loads back equal through the flaky store too.
-    let back = SweepCheckpoint::inspect_from(&flaky, "flaky.ckpt").unwrap();
-    assert_eq!(back.len(), 1);
+    // And the flaky copy reads back equal through the flaky store too.
+    let (back, _) = SweepLog::open(&flaky, "flaky.ckpt", fp).unwrap();
+    assert_eq!(back.get("unit-a"), Some(&result));
     let _ = std::fs::remove_dir_all(dir);
 }

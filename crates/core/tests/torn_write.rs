@@ -1,14 +1,13 @@
-//! Crash-consistency property suite for the checkpoint/journal layer.
+//! Crash-consistency property suite for the sweep record log.
 //!
 //! A power loss or SIGKILL can truncate a file at **any** byte. The
-//! contract under test: for every possible truncation point,
-//!
-//! * a checkpoint file either loads or fails with a typed
-//!   [`CheckpointError`] — never a panic;
-//! * a unit journal replays the salvaged record prefix exactly (the
-//!   longest prefix of appends whose records survived intact) and
-//!   reports the torn remainder — never a panic, never a wrong or
-//!   reordered unit.
+//! contract under test: for every possible truncation point, the log
+//! opens to the salvaged record prefix exactly (the longest prefix of
+//! appends whose records survived intact) and reports the torn
+//! remainder — never an error, never a panic, never a wrong or
+//! reordered unit. Opened under other parameters, every truncation
+//! either starts fresh (the header never landed) or is refused with a
+//! typed [`CheckpointError`] — never a panic, never a foreign unit.
 //!
 //! Exhaustive over offsets rather than sampled: the files are small
 //! and the failure modes (cut inside a header, inside a checksum,
@@ -16,7 +15,9 @@
 
 use sbgp_asgraph::gen::{generate, GenParams};
 use sbgp_asgraph::Weights;
-use sbgp_core::checkpoint::{SweepCheckpoint, UnitJournal};
+use sbgp_core::checkpoint::{CheckpointError, SweepLog, LOG_KIND};
+use sbgp_core::recordlog;
+use sbgp_core::storage::Store;
 use sbgp_core::{EarlyAdopters, EngineStats, SimConfig, SimResult, Simulation};
 use sbgp_routing::HashTieBreak;
 use std::path::PathBuf;
@@ -58,96 +59,92 @@ fn sample_results() -> Vec<(String, SimResult)> {
 
 #[test]
 fn checkpoint_truncated_at_every_byte_never_panics() {
-    let dir = tmp_dir("ckpt");
-    let full_path = dir.join("full.ckpt");
-    let mut ckpt = SweepCheckpoint::new(7);
+    let store = Store::in_memory();
+    let (mut log, _) = SweepLog::open(&store, "full.ckpt", 7).expect("open log");
     for (key, res) in sample_results() {
-        ckpt.insert(key, res);
+        log.insert(key, res).expect("append");
     }
-    ckpt.save(&full_path).expect("save checkpoint");
-    let full = std::fs::read(&full_path).expect("read checkpoint");
+    drop(log);
+    let full = store.get("full.ckpt").unwrap().expect("log exists");
 
-    let cut_path = dir.join("cut.ckpt");
-    let mut loaded_ok = 0usize;
+    let (mut fresh, mut refused) = (0usize, 0usize);
     for cut in 0..=full.len() {
-        std::fs::write(&cut_path, &full[..cut]).expect("write truncation");
-        // Any outcome but a panic is acceptable; a successful parse
-        // must also pass the fingerprint check.
-        match SweepCheckpoint::load(&cut_path, 7) {
-            Ok(c) => {
-                loaded_ok += 1;
-                assert!(
-                    c.len() <= ckpt.len(),
-                    "cut at {cut} produced more units than were saved"
-                );
+        store.put_atomic("cut.ckpt", &full[..cut]).unwrap();
+        match SweepLog::open(&store, "cut.ckpt", 8) {
+            Ok((log, _)) => {
+                fresh += 1;
+                assert!(log.is_empty(), "cut at {cut}: a foreign unit resumed");
             }
-            Err(e) => {
-                // Typed error with a non-empty rendering.
+            Err(e @ CheckpointError::ParamsMismatch { .. }) => {
+                refused += 1;
                 assert!(!e.to_string().is_empty(), "cut at {cut}: empty diagnostic");
             }
+            Err(e) => panic!("cut at {cut}: {e}"),
         }
     }
-    // The untruncated file must be among the successes.
-    assert!(loaded_ok >= 1, "the full file itself failed to load");
-    let _ = std::fs::remove_dir_all(&dir);
+    // Once the header is whole, every cut names the other parameters.
+    let header_len = recordlog::scan("full.ckpt", &full, &[LOG_KIND])
+        .unwrap()
+        .records[0]
+        .0 as usize;
+    assert_eq!((fresh, refused), (header_len, full.len() + 1 - header_len));
 }
 
 #[test]
 fn journal_truncated_at_every_byte_salvages_an_exact_prefix() {
     let dir = tmp_dir("journal");
-    let full_path = dir.join("full.journal");
+    let store = Store::localdisk(&dir);
     let units = sample_results();
-    let mut j = UnitJournal::open(&full_path).expect("open journal");
+    let (mut log, _) = SweepLog::open(&store, "full.ckpt", 7).expect("open log");
     for (key, res) in &units {
-        j.append(key, res).expect("append");
+        log.insert(key.clone(), res.clone()).expect("append");
     }
-    drop(j);
-    let full = std::fs::read(&full_path).expect("read journal");
+    drop(log);
+    let full = store.get("full.ckpt").unwrap().expect("log exists");
 
-    // Record boundaries: replaying ever-longer prefixes of the intact
-    // file tells us how many whole records fit in any cut length.
-    let cut_path = dir.join("cut.journal");
     let mut boundary_cuts = 0usize;
     for cut in 0..=full.len() {
-        std::fs::write(&cut_path, &full[..cut]).expect("write truncation");
-        let (salvaged, report) =
-            UnitJournal::replay(&cut_path).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
-        // The salvaged units must be an exact prefix of what was
-        // appended — same keys, same results, same order.
-        assert!(
-            salvaged.len() <= units.len(),
-            "cut at {cut}: too many units"
-        );
-        for (i, (key, res)) in salvaged.iter().enumerate() {
-            assert_eq!(key, &units[i].0, "cut at {cut}: key {i} diverged");
-            assert_eq!(res, &units[i].1, "cut at {cut}: result {i} diverged");
-        }
+        store.put_atomic("cut.ckpt", &full[..cut]).unwrap();
+        let scan = recordlog::scan(
+            "cut.ckpt",
+            &store.get("cut.ckpt").unwrap().unwrap(),
+            &[LOG_KIND],
+        )
+        .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
         // Salvage accounting: valid + torn covers the cut exactly.
-        assert_eq!(report.records, salvaged.len(), "cut at {cut}");
         assert_eq!(
-            report.valid_bytes + report.torn_bytes,
+            scan.valid_bytes + scan.torn_bytes,
             cut as u64,
             "cut at {cut}: salvage ranges must partition the file"
         );
-        if report.is_clean() {
+        if scan.torn_bytes == 0 {
             boundary_cuts += 1;
         }
-        // Salvaging then replaying must be clean and keep the prefix.
-        UnitJournal::salvage(&cut_path).unwrap_or_else(|e| panic!("salvage at {cut}: {e}"));
-        let (again, clean) =
-            UnitJournal::replay(&cut_path).unwrap_or_else(|e| panic!("re-replay at {cut}: {e}"));
-        assert!(clean.is_clean(), "cut at {cut}: salvage left a torn tail");
-        assert_eq!(
-            again.len(),
-            salvaged.len(),
-            "cut at {cut}: salvage lost units"
-        );
+        let (salvaged, resumed) =
+            SweepLog::open(&store, "cut.ckpt", 7).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        assert_eq!(resumed.torn_bytes, scan.torn_bytes, "cut at {cut}");
+        // The salvaged units must be an exact prefix of what was
+        // appended — same keys, same results, same order.
+        assert_eq!(salvaged.len(), scan.records.len(), "cut at {cut}");
+        for (i, (key, res)) in salvaged.iter().enumerate() {
+            assert_eq!(key, units[i].0, "cut at {cut}: key {i} diverged");
+            assert_eq!(res, &units[i].1, "cut at {cut}: result {i} diverged");
+        }
+        // Open truncated the tail: the log is clean and keeps the prefix.
+        let again = recordlog::scan(
+            "cut.ckpt",
+            &store.get("cut.ckpt").unwrap().unwrap(),
+            &[LOG_KIND],
+        )
+        .unwrap();
+        assert_eq!(again.torn_bytes, 0, "cut at {cut}: open left a torn tail");
+        assert_eq!(again.records.len(), salvaged.len(), "cut at {cut}");
     }
-    // Clean cuts are exactly the record boundaries: one per record,
-    // plus the empty file.
+    // Clean cuts are exactly the record boundaries: the empty file,
+    // the end of the header, and one per unit.
     assert_eq!(
         boundary_cuts,
-        units.len() + 1,
+        units.len() + 2,
         "unexpected number of clean truncation points"
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -69,36 +69,21 @@ fn timed_passes(
     (secs, engine.stats())
 }
 
-/// Extract the integer value of `"key":` from a compact JSON record.
-fn json_u64(record: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = record.find(&needle)? + needle.len();
-    let rest = record[start..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract the string value of `"key":"..."` from a compact JSON
-/// record (bench-vocabulary strings never contain escapes).
-fn json_str<'a>(record: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = record.find(&needle)? + needle.len();
-    let rest = record[start..].trim_start().strip_prefix('"')?;
-    rest.split('"').next()
-}
-
 /// A record's history key: one row per `family × n × threads`
 /// configuration. Engine records predate families and carry no
 /// `family` field; they default to `engine`, so the serving-path
 /// records (`family: "serve"`) never collide with the kernel
 /// trajectory at the same scale.
 fn record_key(record: &str) -> (String, u64, u64) {
+    let fields = crate::json::parse_object(record).unwrap_or_default();
+    let num = |key: &str| fields.get(key).and_then(|v| v.parse().ok()).unwrap_or(0);
     (
-        json_str(record, "family").unwrap_or("engine").to_string(),
-        json_u64(record, "n").unwrap_or(0),
-        json_u64(record, "threads").unwrap_or(0),
+        fields
+            .get("family")
+            .map_or("engine", String::as_str)
+            .to_string(),
+        num("n"),
+        num("threads"),
     )
 }
 

@@ -20,7 +20,7 @@
 //! artifact store runs under seeded disk-fault schedules — injected
 //! EIO, ENOSPC, torn and short writes, crash-before-rename, detected
 //! read corruption, latency — and the last schedule SIGKILLs the run
-//! after its first checkpoint write, then `--resume`s under the same
+//! after its first unit record, then `--resume`s under the same
 //! fault profile. The figure CSV must come out byte-identical to the
 //! clean run under every schedule: disk faults may cost retries,
 //! never answers.
@@ -35,6 +35,7 @@
 
 use crate::cli::Options;
 use crate::error::ExperimentError;
+use crate::json;
 use crate::sweeps;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -67,7 +68,6 @@ pub fn chaos(opts: &Options) -> Result<(), ExperimentError> {
     reference.process_shards = 0;
     reference.kill_workers = 0.0;
     reference.resume = false;
-    reference.checkpoint_every = 0;
 
     let mut sharded = opts.clone();
     sharded.out = Some(base.join("sharded"));
@@ -81,11 +81,9 @@ pub fn chaos(opts: &Options) -> Result<(), ExperimentError> {
     } else {
         opts.kill_workers
     };
-    // Persistence on, so the torture run also exercises the journal +
-    // checkpoint path under crash pressure.
-    if sharded.checkpoint_every == 0 {
-        sharded.checkpoint_every = 1;
-    }
+    // Persistence on, so the torture run also exercises the sweep log
+    // under crash pressure.
+    persist_fresh(&mut sharded, &base.join("sharded"));
 
     eprintln!("[chaos] reference run (single process, no faults)");
     sweeps::fig9(&reference)?;
@@ -147,7 +145,6 @@ fn chaos_net(opts: &Options, base: &Path) -> Result<(), ExperimentError> {
     reference.workers = Vec::new();
     reference.net_chaos = None;
     reference.resume = false;
-    reference.checkpoint_every = 0;
     eprintln!("[chaos] reference run (single process, no faults)");
     sweeps::fig9(&reference)?;
     let ref_csv = base.join("reference").join(FIGURE_CSV);
@@ -171,19 +168,17 @@ fn chaos_net(opts: &Options, base: &Path) -> Result<(), ExperimentError> {
                 .map_err(|e| ExperimentError::Harness(format!("schedule {name}: {e}")))?,
         );
         // Tight lease/watchdog so partition-eaten Assign frames requeue
-        // in seconds, not minutes; journal + checkpoint always on so
-        // every schedule also exercises the persistence path.
+        // in seconds, not minutes; the sweep log always on so every
+        // schedule also exercises the persistence path.
         torture.lease_secs = 10.0;
         torture.watchdog_secs = 15.0;
-        torture.checkpoint_every = 1;
-        torture.resume = false;
+        persist_fresh(&mut torture, &dir);
 
         if name == "net-resume" {
             eprintln!(
                 "[chaos] schedule {name} ({spec}): coordinator SIGKILL mid-sweep, then --resume"
             );
             sigkill_coordinator_mid_sweep(&torture, &dir)?;
-            torture.resume = true;
         } else {
             eprintln!("[chaos] schedule {name} ({spec})");
         }
@@ -223,7 +218,7 @@ fn chaos_net(opts: &Options, base: &Path) -> Result<(), ExperimentError> {
 /// The seeded disk-fault schedules the storage layer must survive.
 /// Each is a [`sbgp_core::storage::DiskChaosProfile`] spec wrapped
 /// around the sweep's `LocalDisk` store; the third schedule
-/// additionally SIGKILLs the run after its first checkpoint write and
+/// additionally SIGKILLs the run after its first unit record and
 /// `--resume`s under the same fault profile.
 const DISK_SCHEDULES: [(&str, &str); 3] = [
     (
@@ -243,7 +238,6 @@ fn chaos_storage(opts: &Options, base: &Path) -> Result<(), ExperimentError> {
     reference.net_chaos = None;
     reference.disk_chaos = None;
     reference.resume = false;
-    reference.checkpoint_every = 0;
     eprintln!("[chaos] reference run (single process, no faults)");
     sweeps::fig9(&reference)?;
     let ref_csv = base.join("reference").join(FIGURE_CSV);
@@ -262,16 +256,13 @@ fn chaos_storage(opts: &Options, base: &Path) -> Result<(), ExperimentError> {
             sbgp_core::storage::DiskChaosProfile::parse(spec)
                 .map_err(|e| ExperimentError::Harness(format!("schedule {name}: {e}")))?,
         );
-        // Persistence every unit, so every schedule hammers the
-        // checkpoint save, journal append, and lock paths — not just
-        // the final CSV write.
-        torture.checkpoint_every = 1;
-        torture.resume = false;
+        // The sweep log on, so every schedule hammers the log append
+        // and lock paths — not just the final CSV write.
+        persist_fresh(&mut torture, &dir);
 
         if name == "disk-resume" {
             eprintln!("[chaos] schedule {name} ({spec}): SIGKILL mid-sweep, then --resume");
             sigkill_coordinator_mid_sweep(&torture, &dir)?;
-            torture.resume = true;
         } else {
             eprintln!("[chaos] schedule {name} ({spec})");
         }
@@ -302,10 +293,24 @@ fn chaos_storage(opts: &Options, base: &Path) -> Result<(), ExperimentError> {
     Ok(())
 }
 
-/// Launch a child coordinator running the torture sweep, wait for its
-/// first checkpoint write, and SIGKILL it — no cleanup handlers run,
-/// so the lock, journal (with live leases), and partial checkpoint are
-/// left exactly as a crash leaves them. Supervision flags (workers,
+/// Turn on the sweep log for a torture run in `dir`, starting from no
+/// log: `--resume` alone would reuse a previous chaos run's units.
+fn persist_fresh(opts: &mut Options, dir: &Path) {
+    let _ = std::fs::remove_file(dir.join("checkpoints").join("fig9.ckpt"));
+    opts.resume = true;
+}
+
+/// Does the sweep log at `path` hold a unit record yet? (The log
+/// exists from open, and leases precede units, so existence alone
+/// says nothing.)
+fn log_has_unit(path: &Path) -> bool {
+    std::fs::read(path).is_ok_and(|b| b.split(|&c| c == b'\n').any(|l| l.starts_with(b"unit ")))
+}
+
+/// Launch a child coordinator running the torture sweep, wait for the
+/// first unit record in its log, and SIGKILL it — no cleanup handlers
+/// run, so the lock and the log (with live leases) are left exactly as
+/// a crash leaves them. Supervision flags (workers,
 /// chaos profiles) are reconstructed from `torture`, so the same
 /// staging works for `--net` and `--storage` schedules.
 fn sigkill_coordinator_mid_sweep(torture: &Options, dir: &Path) -> Result<(), ExperimentError> {
@@ -321,7 +326,7 @@ fn sigkill_coordinator_mid_sweep(torture: &Options, dir: &Path) -> Result<(), Ex
     cmd.arg("fig9")
         .args(["--config".as_ref(), cfg.as_os_str()])
         .args(["--out".as_ref(), dir.as_os_str()])
-        .args(["--checkpoint-every", "1"]);
+        .arg("--resume");
     if !torture.workers.is_empty() {
         // Tight lease/watchdog so partition-eaten Assign frames
         // requeue in seconds, not minutes.
@@ -343,30 +348,30 @@ fn sigkill_coordinator_mid_sweep(torture: &Options, dir: &Path) -> Result<(), Ex
         .stderr(Stdio::null())
         .spawn()
         .map_err(|e| ExperimentError::Harness(format!("spawning coordinator: {e}")))?;
-    let ckpt = dir.join("checkpoints").join("fig9.ckpt");
+    let log = dir.join("checkpoints").join("fig9.ckpt");
     let deadline = Instant::now() + Duration::from_secs(120);
-    while !ckpt.exists() && Instant::now() < deadline {
+    while !log_has_unit(&log) && Instant::now() < deadline {
         if let Ok(Some(status)) = child.try_wait() {
             // Finished before we could kill it — the resume run then
-            // just revalidates a complete checkpoint, which is still a
-            // fair (if gentler) test.
+            // just replays a complete log, which is still a fair (if
+            // gentler) test.
             eprintln!("[chaos] coordinator finished before SIGKILL ({status})");
             return Ok(());
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    if !ckpt.exists() {
+    if !log_has_unit(&log) {
         let _ = child.kill();
         let _ = child.wait();
         return Err(ExperimentError::Harness(
-            "chaos: no checkpoint appeared within 120s; cannot stage the crash".into(),
+            "chaos: no unit record was logged within 120s; cannot stage the crash".into(),
         ));
     }
     child
         .kill()
         .map_err(|e| ExperimentError::Harness(format!("SIGKILLing coordinator: {e}")))?;
     let _ = child.wait();
-    eprintln!("[chaos] coordinator SIGKILLed after first checkpoint write");
+    eprintln!("[chaos] coordinator SIGKILLed after its first unit record");
     Ok(())
 }
 
@@ -463,39 +468,37 @@ impl Drop for ServeDaemon {
     }
 }
 
-/// Pull a `"key":"value"` string field out of a flat JSON response.
-fn json_field(body: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = body.find(&pat)? + pat.len();
-    let end = body[start..].find('"')? + start;
-    Some(body[start..end].to_string())
+/// One field of a flat JSON response, as raw text.
+fn json_get(body: &[u8], key: &str) -> Option<String> {
+    json::parse_object(&String::from_utf8_lossy(body))
+        .ok()?
+        .remove(key)
 }
 
-/// Pull a `"key":N` numeric field out of a flat JSON response.
-fn json_num(body: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = body.find(&pat)? + pat.len();
-    let digits: String = body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// A numeric field of a flat JSON response (0 when absent).
+fn json_count(body: &[u8], key: &str) -> u64 {
+    json_get(body, key)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
 }
 
 /// Submit a job, retrying through overload, faults, and daemon
 /// restarts. Returns `(id, was_cached)`.
 fn submit_job(addr: &str, cmd: &str, config: &str) -> Result<(String, bool), ExperimentError> {
     let body = format!(
-        "{{\"cmd\":\"{cmd}\",\"config\":\"{}\",\"client\":\"chaos\"}}",
-        config.replace('\n', "\\n")
+        "{{\"cmd\":\"{}\",\"config\":\"{}\",\"client\":\"chaos\"}}",
+        json::escape(cmd),
+        json::escape(config)
     );
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         match crate::serve::http_request(addr, "POST", "/jobs", Some(&body)) {
             Ok((status @ (200 | 202), bytes)) => {
-                let text = String::from_utf8_lossy(&bytes).into_owned();
-                let id = json_field(&text, "id").ok_or_else(|| {
-                    ExperimentError::Harness(format!("submission response without id: {text}"))
+                let id = json_get(&bytes, "id").ok_or_else(|| {
+                    ExperimentError::Harness(format!(
+                        "submission response without id: {}",
+                        String::from_utf8_lossy(&bytes)
+                    ))
                 })?;
                 return Ok((id, status == 200));
             }
@@ -526,12 +529,12 @@ fn await_result(addr: &str, id: &str) -> Result<Vec<u8>, ExperimentError> {
         if let Ok((200, bytes)) =
             crate::serve::http_request(addr, "GET", &format!("/jobs/{id}"), None)
         {
-            let text = String::from_utf8_lossy(&bytes).into_owned();
-            match json_field(&text, "status").as_deref() {
+            match json_get(&bytes, "status").as_deref() {
                 Some("done") => break,
                 Some("parked") => {
                     return Err(ExperimentError::Harness(format!(
-                        "job {id} was parked as poisoned: {text}"
+                        "job {id} was parked as poisoned: {}",
+                        String::from_utf8_lossy(&bytes)
                     )))
                 }
                 _ => {}
@@ -591,7 +594,6 @@ fn chaos_serve(opts: &Options, base: &Path) -> Result<(), ExperimentError> {
     reference.disk_chaos = None;
     reference.serve = false;
     reference.resume = false;
-    reference.checkpoint_every = 0;
     eprintln!("[chaos] one-shot CLI twins (fig9, fig8)");
     sweeps::fig9(&reference)?;
     sweeps::fig8(&reference)?;
@@ -615,10 +617,7 @@ fn chaos_serve(opts: &Options, base: &Path) -> Result<(), ExperimentError> {
             if let Ok((200, bytes)) =
                 crate::serve::http_request(&daemon.addr, "GET", "/stats", None)
             {
-                let text = String::from_utf8_lossy(&bytes).into_owned();
-                if json_num(&text, "running").unwrap_or(0) > 0
-                    || json_num(&text, "done").unwrap_or(0) > 0
-                {
+                if json_count(&bytes, "running") > 0 || json_count(&bytes, "done") > 0 {
                     break;
                 }
             }
@@ -644,12 +643,10 @@ fn chaos_serve(opts: &Options, base: &Path) -> Result<(), ExperimentError> {
         byte_compare("fig9 (cached repeat)", &again, &want9)?;
         let (_, stats) = crate::serve::http_request(&daemon.addr, "GET", "/stats", None)
             .map_err(|e| ExperimentError::Harness(format!("final /stats: {e}")))?;
-        let text = String::from_utf8_lossy(&stats).into_owned();
-        let done = json_num(&text, "done").unwrap_or(0);
-        let parked = json_num(&text, "parked").unwrap_or(0);
-        if done != 2 || parked != 0 {
+        if json_count(&stats, "done") != 2 || json_count(&stats, "parked") != 0 {
             return Err(ExperimentError::Harness(format!(
-                "exactly-once violated across the crash: expected 2 done / 0 parked, got {text}"
+                "exactly-once violated across the crash: expected 2 done / 0 parked, got {}",
+                String::from_utf8_lossy(&stats)
             )));
         }
         daemon.sigterm_and_wait()?;

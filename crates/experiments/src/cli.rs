@@ -33,10 +33,9 @@ pub struct Options {
     /// seeded disk-fault schedules (EIO, ENOSPC, torn writes,
     /// crash-before-rename, read corruption) instead of process kills.
     pub storage: bool,
-    /// Resume sweep commands from their checkpoint file.
+    /// Persist sweep progress to the sweep's record log, resuming from
+    /// it when one exists.
     pub resume: bool,
-    /// Persist sweep progress every N units (0 = only with --resume).
-    pub checkpoint_every: usize,
     /// Random link-failure rate applied to the topology (0 = intact).
     pub fail_links: f64,
     /// Retries before a panicking per-destination task is quarantined.
@@ -139,7 +138,6 @@ impl Default for Options {
             net: false,
             storage: false,
             resume: false,
-            checkpoint_every: 0,
             fail_links: 0.0,
             max_retries: 1,
             self_check: 0.0,
@@ -349,7 +347,6 @@ fn apply(o: &mut Options, key: &str, v: &str) -> Result<(), String> {
         "net" => o.net = num(key, v)?,
         "storage" => o.storage = num(key, v)?,
         "resume" => o.resume = num(key, v)?,
-        "checkpoint-every" => o.checkpoint_every = num(key, v)?,
         "fail-links" => o.fail_links = num(key, v)?,
         "max-retries" => o.max_retries = num(key, v)?,
         "self-check" => o.self_check = num(key, v)?,
@@ -505,8 +502,6 @@ mod tests {
     fn parses_fault_tolerance_flags() {
         let o = Options::parse(&s(&[
             "--resume",
-            "--checkpoint-every",
-            "3",
             "--fail-links",
             "0.05",
             "--max-retries",
@@ -514,7 +509,6 @@ mod tests {
         ]))
         .unwrap();
         assert!(o.resume);
-        assert_eq!(o.checkpoint_every, 3);
         assert_eq!(o.fail_links, 0.05);
         assert_eq!(o.max_retries, 2);
     }

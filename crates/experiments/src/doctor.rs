@@ -4,20 +4,21 @@
 //! artifacts (or directories of them), the doctor classifies each by
 //! content and runs the strictest available validator:
 //!
-//! * files whose first line starts with `sbgp-checkpoint` are parsed
-//!   with the full checkpoint codec (fingerprint check skipped — the
-//!   doctor doesn't know which sweep will consume the file);
-//! * `.journal` files (or files starting with a `rec ` frame header)
-//!   are replayed with the write-ahead journal codec; a torn tail is
-//!   reported with the salvageable record count and byte offset;
+//! * record logs — sweep logs (`.ckpt`) and `repro serve` job logs
+//!   (`.joblog`), or any file starting with a `rec ` frame — get one
+//!   check ([`sbgp_core::recordlog`]): a torn tail is reported with
+//!   the salvageable record count and byte offset, damage before valid
+//!   records with its byte offset, an older build's file (a
+//!   `sbgp-checkpoint`/`sbgp-joblog 1` file, a `.journal`) with a
+//!   delete-and-rerun diagnosis; a healthy log gets a short summary of
+//!   its kind (completed units and open leases of a sweep, the queue of
+//!   a job log, fingerprint check skipped — the doctor doesn't know
+//!   which sweep will consume the file);
 //! * `.lock` files are sweep locks: held by a live process is healthy,
 //!   a dead owner is a stale leftover;
 //! * `.port` files are daemon/worker address advertisements: healthy
 //!   iff something still answers at the published address, stale when
 //!   the process died without cleanup;
-//! * `.joblog` files (or files starting with the `sbgp-joblog` header)
-//!   are `repro serve` job journals, replayed with the serve codec; a
-//!   torn tail is reported (or truncated with `--fix`);
 //! * `.job` files are parked poisoned-job artifacts quarantined by the
 //!   serve daemon — always surfaced as needing attention, with the
 //!   replay command; `--fix` discards them;
@@ -31,8 +32,9 @@
 //!
 //! One line per entry (`ok:` or `error:` with a line-precise message);
 //! any failure makes the command exit non-zero. With `--fix`, the
-//! doctor salvages what it safely can — truncating torn journal tails
-//! to the last valid record and deleting stale locks and scratch
+//! doctor salvages what it safely can — truncating torn log tails to
+//! the last valid record, cutting a damaged log at the damage (naming
+//! the valid records that drops), and deleting stale locks and scratch
 //! dirs — and reports what it did.
 //!
 //! Validation itself runs through [`sbgp_core::storage::Store`]
@@ -40,8 +42,9 @@
 //! in tests — is checked by exactly the same code path.
 
 use crate::error::ExperimentError;
-use sbgp_core::checkpoint::{SweepCheckpoint, UnitJournal};
+use sbgp_core::recordlog::{self, LogError, Scan};
 use sbgp_core::storage::Store;
+use sbgp_core::{checkpoint, serve};
 use std::path::{Path, PathBuf};
 
 /// Run the doctor over the given paths (files or directories).
@@ -151,14 +154,21 @@ fn check_one(path: &Path, fix: bool) -> Result<String, String> {
 pub fn check_artifact(store: &Store, key: &str, fix: bool) -> Result<String, String> {
     let is_config = key.ends_with(".cfg") || key.ends_with(".conf");
     let is_lock = key.ends_with(".lock");
-    let is_journal = key.ends_with(".journal");
     let is_port = key.ends_with(".port");
-    let is_joblog = key.ends_with(".joblog");
     let is_parked = key.ends_with(".job");
     let bytes = store
         .get(key)
         .map_err(|e| e.to_string())?
         .ok_or_else(|| "no such artifact".to_string())?;
+    let is_log = [".ckpt", ".joblog", ".journal"]
+        .iter()
+        .any(|s| key.ends_with(s))
+        || ["rec ", "sbgp-checkpoint", "sbgp-joblog"]
+            .iter()
+            .any(|p| bytes.starts_with(p.as_bytes()));
+    if is_log {
+        return check_log(store, key, &bytes, fix);
+    }
     let text = String::from_utf8(bytes).map_err(|_| "not valid UTF-8".to_string())?;
     if is_lock {
         return check_lock(store, key, &text, fix);
@@ -166,22 +176,8 @@ pub fn check_artifact(store: &Store, key: &str, fix: bool) -> Result<String, Str
     if is_port {
         return check_port_file(store, key, &text, fix);
     }
-    if is_joblog || text.starts_with("sbgp-joblog") {
-        return check_joblog(store, key, fix);
-    }
     if is_parked {
         return check_parked(store, key, &text, fix);
-    }
-    if is_journal || text.starts_with("rec ") {
-        return check_journal(store, key, fix);
-    }
-    if text
-        .lines()
-        .next()
-        .is_some_and(|l| l.starts_with("sbgp-checkpoint"))
-    {
-        let ckpt = SweepCheckpoint::inspect_from(store, key).map_err(|e| e.to_string())?;
-        return Ok(format!("checkpoint with {} completed unit(s)", ckpt.len()));
     }
     if is_config {
         let opts = crate::cli::Options::from_config_str(&text)?;
@@ -201,16 +197,83 @@ pub fn check_artifact(store: &Store, key: &str, fix: bool) -> Result<String, Str
     ))
 }
 
-/// A unit journal: replay it, reporting completed units, in-flight
-/// leases, and (or with `fix` truncating) a torn tail.
-fn check_journal(store: &Store, key: &str, fix: bool) -> Result<String, String> {
-    let (records, report) =
-        UnitJournal::replay_records_in(store, key).map_err(|e| e.to_string())?;
-    let leases = UnitJournal::outstanding_leases(&records);
-    let lease_note = if leases.is_empty() {
+/// The record-log kinds this build reads.
+const LOG_KINDS: [&str; 2] = [checkpoint::LOG_KIND, serve::LOG_KIND];
+
+/// A record log (sweep or job log): report a torn tail or damage (or
+/// with `fix` truncate it), else summarize what the log holds.
+fn check_log(store: &Store, key: &str, bytes: &[u8], fix: bool) -> Result<String, String> {
+    let scan = match recordlog::scan(key, bytes, &LOG_KINDS) {
+        Ok(scan) => scan,
+        Err(LogError::Corrupt { offset, .. }) if fix => {
+            let r = recordlog::repair(store, key, &LOG_KINDS).map_err(|e| e.to_string())?;
+            return Ok(format!(
+                "fixed: damaged journal cut at byte {offset} — kept {} record(s), dropped \
+                 {} valid record(s) after the damage ({} bytes)",
+                r.scan.records.len(),
+                r.dropped_records,
+                r.cut_bytes
+            ));
+        }
+        Err(e) => return Err(e.to_string()),
+    };
+    if scan.torn_bytes == 0 {
+        return log_summary(key, &scan);
+    }
+    if fix {
+        let r = recordlog::repair(store, key, &LOG_KINDS).map_err(|e| e.to_string())?;
+        return Ok(format!(
+            "fixed: torn journal truncated to last valid record — kept {} record(s) \
+             ({} bytes), dropped {} torn byte(s)",
+            r.scan.records.len(),
+            r.scan.valid_bytes,
+            r.cut_bytes
+        ));
+    }
+    Err(format!(
+        "torn journal tail: {} complete record(s) end at byte {}, followed by {} \
+         unparseable byte(s) (a crash mid-append); rerun with --fix to truncate to the \
+         last valid record",
+        scan.records.len(),
+        scan.valid_bytes,
+        scan.torn_bytes
+    ))
+}
+
+/// One line on what a clean log holds, per kind.
+fn log_summary(key: &str, scan: &Scan) -> Result<String, String> {
+    if scan.header.starts_with(serve::LOG_KIND) {
+        let r = serve::summarize(scan).map_err(|e| e.to_string())?;
+        let mut notes = String::new();
+        if r.running > 0 {
+            notes.push_str(&format!(
+                ", {} job(s) were running at crash time (requeued at the front on the \
+                 next daemon start)",
+                r.running
+            ));
+        }
+        if r.parked > 0 {
+            notes.push_str(&format!(
+                ", {} parked poisoned job(s) (see the .job artifacts)",
+                r.parked
+            ));
+        }
+        return Ok(format!(
+            "serve job log with {} record(s): {} queued, {} done{notes}",
+            scan.records.len(),
+            r.queued,
+            r.done
+        ));
+    }
+    if scan.header.is_empty() {
+        return Ok("empty record log".into());
+    }
+    let r = checkpoint::replay(key, scan).map_err(|e| e.to_string())?;
+    let lease_note = if r.leases.is_empty() {
         String::new()
     } else {
-        let holders: Vec<String> = leases
+        let holders: Vec<String> = r
+            .leases
             .iter()
             .take(4)
             .map(|(k, p)| format!("{k:?} @ {p}"))
@@ -218,34 +281,21 @@ fn check_journal(store: &Store, key: &str, fix: bool) -> Result<String, String> 
         format!(
             ", {} unit(s) still leased to workers ({}{}) — a coordinator died \
              mid-dispatch; a resumed run re-dispatches them",
-            leases.len(),
+            r.leases.len(),
             holders.join(", "),
-            if leases.len() > holders.len() {
+            if r.leases.len() > holders.len() {
                 ", …"
             } else {
                 ""
             }
         )
     };
-    if report.is_clean() {
-        return Ok(format!(
-            "journal with {} complete record(s) ({} bytes){lease_note}",
-            report.records, report.valid_bytes
-        ));
-    }
-    if fix {
-        let salvaged = UnitJournal::salvage_in(store, key).map_err(|e| e.to_string())?;
-        return Ok(format!(
-            "fixed: torn journal truncated to last valid record — kept {} record(s) \
-             ({} bytes), dropped {} torn byte(s)",
-            salvaged.records, salvaged.valid_bytes, salvaged.torn_bytes
-        ));
-    }
-    Err(format!(
-        "torn journal tail: {} complete record(s) end at byte {}, followed by {} \
-         unparseable byte(s) (a crash mid-append); rerun with --fix to truncate \
-         to the last valid record",
-        report.records, report.valid_bytes, report.torn_bytes
+    Ok(format!(
+        "sweep log (fingerprint {:016x}) with {} complete record(s): {} completed \
+         unit(s){lease_note}",
+        r.fingerprint,
+        scan.records.len(),
+        r.units.len()
     ))
 }
 
@@ -276,46 +326,6 @@ fn check_port_file(store: &Store, key: &str, text: &str, fix: bool) -> Result<St
              without cleanup); rerun with --fix to remove it"
         ))
     }
-}
-
-/// A `repro serve` job journal: replay it read-only, reporting the
-/// queue it encodes; a torn tail is truncated with `--fix`.
-fn check_joblog(store: &Store, key: &str, fix: bool) -> Result<String, String> {
-    let report = sbgp_core::serve::inspect_joblog(store, key).map_err(|e| e.to_string())?;
-    if report.torn_bytes == 0 {
-        let mut notes = String::new();
-        if report.running > 0 {
-            notes.push_str(&format!(
-                ", {} job(s) were running at crash time (requeued at the front on the \
-                 next daemon start)",
-                report.running
-            ));
-        }
-        if report.parked > 0 {
-            notes.push_str(&format!(
-                ", {} parked poisoned job(s) (see the .job artifacts)",
-                report.parked
-            ));
-        }
-        return Ok(format!(
-            "serve job journal with {} record(s): {} queued, {} done{notes}",
-            report.records, report.queued, report.done
-        ));
-    }
-    if fix {
-        let salvaged = sbgp_core::serve::salvage_joblog(store, key).map_err(|e| e.to_string())?;
-        return Ok(format!(
-            "fixed: torn serve journal truncated to last complete record — kept {} \
-             record(s) ({} bytes), dropped {} torn byte(s)",
-            salvaged.records, salvaged.valid_bytes, salvaged.torn_bytes
-        ));
-    }
-    Err(format!(
-        "torn serve journal tail: {} complete record(s) end at byte {}, followed by \
-         {} unparseable byte(s) (the daemon crashed mid-append); rerun with --fix to \
-         truncate to the last complete record",
-        report.records, report.valid_bytes, report.torn_bytes
-    ))
 }
 
 /// A parked poisoned-job artifact: a job the serve daemon quarantined
@@ -409,7 +419,7 @@ fn check_worker_scratch(path: &Path, fix: bool) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbgp_core::checkpoint::params_fingerprint;
+    use sbgp_core::checkpoint::{params_fingerprint, SweepLog};
 
     /// The same validation code path runs against a pure in-memory
     /// backend: the doctor's classification is store-generic, not a
@@ -418,20 +428,21 @@ mod tests {
     fn check_artifact_validates_in_memory_backend() {
         let store = Store::in_memory();
 
-        let ckpt = SweepCheckpoint::new(params_fingerprint(&["doctor-test".to_string()]));
-        ckpt.save_to(&store, "checkpoints/fig9.ckpt").unwrap();
+        let fp = params_fingerprint(&["doctor-test".to_string()]);
+        SweepLog::open(&store, "checkpoints/fig9.ckpt", fp).unwrap();
         let summary = check_artifact(&store, "checkpoints/fig9.ckpt", false).unwrap();
         assert!(
-            summary.contains("checkpoint with 0 completed unit(s)"),
+            summary.contains("with 0 complete record(s): 0 completed unit(s)"),
             "{summary}"
         );
+        assert!(summary.contains(&format!("{fp:016x}")), "{summary}");
 
-        UnitJournal::open_in(&store, "checkpoints/fig9.journal").unwrap();
-        let summary = check_artifact(&store, "checkpoints/fig9.journal", false).unwrap();
-        assert!(
-            summary.contains("journal with 0 complete record(s)"),
-            "{summary}"
-        );
+        // A pre-header unit journal is an older build's file.
+        store
+            .put_atomic("checkpoints/fig9.journal", b"rec 3 0000000000000000\nabc\n")
+            .unwrap();
+        let err = check_artifact(&store, "checkpoints/fig9.journal", true).unwrap_err();
+        assert!(err.contains("delete it and rerun"), "{err}");
 
         store
             .put_atomic("run.conf", b"ases = 250\nseed = 9\n")
@@ -448,24 +459,37 @@ mod tests {
     fn check_artifact_fixes_torn_journal_and_stale_lock_in_memory() {
         let store = Store::in_memory();
 
-        // A journal with a torn tail: a valid (empty) journal plus a
+        // A log with a torn tail: a valid (empty) sweep log plus a
         // half-written record frame, as a crash mid-append leaves it.
-        UnitJournal::open_in(&store, "s.journal").unwrap();
+        let (mut log, _) = SweepLog::open(&store, "s.ckpt", 1).unwrap();
         store
-            .append_durable("s.journal", b"rec 999 deadbeefdeadbeef\ntorn")
+            .append_durable("s.ckpt", b"rec 999 deadbeefdeadbeef\ntorn")
             .unwrap();
-        let err = check_artifact(&store, "s.journal", false).unwrap_err();
+        let err = check_artifact(&store, "s.ckpt", false).unwrap_err();
         assert!(err.contains("torn journal tail"), "{err}");
-        let summary = check_artifact(&store, "s.journal", true).unwrap();
+        let summary = check_artifact(&store, "s.ckpt", true).unwrap();
         assert!(
             summary.contains("fixed: torn journal truncated"),
             "{summary}"
         );
-        let summary = check_artifact(&store, "s.journal", false).unwrap();
+        let summary = check_artifact(&store, "s.ckpt", false).unwrap();
+        assert!(summary.contains("with 0 complete record(s)"), "{summary}");
+
+        // Damage before a valid record: corruption, cut only by --fix,
+        // which names the record it drops.
+        log.lease("a", "pid 1").unwrap();
+        log.lease("b", "pid 1").unwrap();
+        let text = String::from_utf8(store.get("s.ckpt").unwrap().unwrap()).unwrap();
+        let damaged = text.replacen("lease 61", "lease 62", 1);
+        store.put_atomic("s.ckpt", damaged.as_bytes()).unwrap();
+        let err = check_artifact(&store, "s.ckpt", false).unwrap_err();
+        assert!(err.contains("followed by 1 valid record(s)"), "{err}");
+        let summary = check_artifact(&store, "s.ckpt", true).unwrap();
         assert!(
-            summary.contains("journal with 0 complete record(s)"),
+            summary.contains("dropped 1 valid record(s) after the damage"),
             "{summary}"
         );
+        assert!(check_artifact(&store, "s.ckpt", false).is_ok());
 
         // A stale lock: the recorded owner pid does not exist.
         store.put_atomic("s.lock", b"pid 999999999\n").unwrap();
@@ -535,9 +559,9 @@ mod tests {
             .append_durable("serve/jobs.joblog", b"sta torn-half")
             .unwrap();
         let err = check_artifact(&store, "serve/jobs.joblog", false).unwrap_err();
-        assert!(err.contains("torn serve journal tail"), "{err}");
+        assert!(err.contains("torn journal tail"), "{err}");
         let summary = check_artifact(&store, "serve/jobs.joblog", true).unwrap();
-        assert!(summary.contains("fixed: torn serve journal"), "{summary}");
+        assert!(summary.contains("fixed: torn journal"), "{summary}");
         let summary = check_artifact(&store, "serve/jobs.joblog", false).unwrap();
         assert!(summary.contains("1 queued, 1 done"), "{summary}");
     }

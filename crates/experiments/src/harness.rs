@@ -1,20 +1,20 @@
 //! Checkpointed sweep execution.
 //!
 //! A [`SweepRunner`] wraps the unit loop of a θ-sweep (or any other
-//! multi-run figure): each unit is keyed by a label, finished units are
-//! persisted to `results/checkpoints/<cmd>.ckpt` every
-//! `--checkpoint-every` units (atomic write-rename, see
-//! [`sbgp_core::checkpoint`]), and `--resume` skips units whose results
-//! the checkpoint already holds. Because every simulation is
-//! deterministic, a resumed sweep is bit-identical to an uninterrupted
-//! one — `tests/determinism.rs` pins this down.
+//! multi-run figure): each unit is keyed by a label. With `--resume`,
+//! every finished unit (and every lease of a unit to a worker) is one
+//! fsync'd append to the sweep's record log
+//! `results/checkpoints/<cmd>.ckpt` (see [`sbgp_core::checkpoint`]),
+//! and units the log already holds are skipped. Because every
+//! simulation is deterministic, a resumed sweep is bit-identical to an
+//! uninterrupted one — `tests/determinism.rs` pins this down.
 //!
-//! Checkpointing is off by default (no files written); it turns on when
-//! the user passes `--resume` or `--checkpoint-every N`.
+//! Persistence is off by default (no files written); `--resume` turns
+//! it on, starting a fresh log when none exists.
 
 use crate::cli::Options;
 use crate::error::ExperimentError;
-use sbgp_core::checkpoint::{params_fingerprint, SweepCheckpoint, UnitJournal};
+use sbgp_core::checkpoint::{params_fingerprint, SweepLog};
 use sbgp_core::storage::{LockOutcome, Store};
 use sbgp_core::{EngineStats, SimResult};
 use std::path::{Path, PathBuf};
@@ -66,28 +66,22 @@ pub struct SweepRunner {
     /// The durable-artifact store everything below persists through
     /// (local disk, optionally wrapped in `--disk-chaos` injection).
     store: Store,
-    /// Checkpoint key in the store; `None` disables persistence.
-    ckpt_key: Option<String>,
-    /// The checkpoint's human-facing path, for progress messages.
-    ckpt_display: PathBuf,
+    /// The log's human-facing path, for progress messages; `None` when
+    /// persistence is off.
+    log_display: Option<PathBuf>,
     /// Where self-check counterexample artifacts are dumped (a key
     /// prefix in the store; displayed as a path under the out dir).
     artifact_dir: PathBuf,
-    ckpt: SweepCheckpoint,
-    every: usize,
-    since_save: usize,
+    /// Completed units, appended to the sweep log as they finish.
+    log: SweepLog,
     reused: usize,
     /// Differential audits performed across all units this run.
     self_checked: usize,
     /// Self-check violations observed across all units this run.
     violations: usize,
     /// Engine work counters summed over freshly computed units
-    /// (checkpoint-reused units carry zeroed stats by design).
+    /// (log-reused units carry zeroed stats by design).
     engine: EngineStats,
-    /// Write-ahead journal of completed units between checkpoint
-    /// saves, so a supervisor crash mid-cadence loses nothing. Only
-    /// present when persistence is on.
-    journal: Option<UnitJournal>,
     /// The sweep's advisory lock key, released by [`Self::finish`].
     lock: Option<String>,
 }
@@ -145,13 +139,32 @@ pub(crate) fn take_lock(store: &Store, key: &str) -> Result<(), ExperimentError>
 impl SweepRunner {
     /// Open the runner for the sweep named `name` (the subcommand).
     ///
-    /// The checkpoint's fingerprint covers every option that changes
-    /// results (`--ases`, `--seed`, `--cp-fraction`, `--fail-links`)
-    /// plus `extra` sweep-specific parameters — never `--threads`,
-    /// which determinism tests guarantee is result-neutral. With
-    /// `--resume`, an existing file for the same fingerprint is loaded;
-    /// a file from different parameters is a hard error.
+    /// The log's fingerprint covers every option that changes results
+    /// (`--ases`, `--seed`, `--cp-fraction`, `--fail-links`) plus
+    /// `extra` sweep-specific parameters — never `--threads`, which
+    /// determinism tests guarantee is result-neutral. With `--resume`,
+    /// an existing log for the same fingerprint is replayed; a log from
+    /// different parameters is a hard error.
     pub fn open(name: &str, opts: &Options, extra: &[String]) -> Result<Self, ExperimentError> {
+        let base_dir = match &opts.out {
+            Some(out) => out.clone(),
+            None => PathBuf::from("results"),
+        };
+        let mut runner = SweepRunner {
+            name: name.to_string(),
+            store: opts.storage_at(&base_dir),
+            log_display: None,
+            artifact_dir: base_dir.join("diffcheck"),
+            log: SweepLog::in_memory(),
+            reused: 0,
+            self_checked: 0,
+            violations: 0,
+            engine: EngineStats::default(),
+            lock: None,
+        };
+        if !opts.resume {
+            return Ok(runner);
+        }
         let mut parts = vec![
             format!("cmd={name}"),
             format!("ases={}", opts.ases),
@@ -160,131 +173,62 @@ impl SweepRunner {
             format!("fail_links={}", opts.fail_links),
         ];
         parts.extend(extra.iter().cloned());
-        let fp = params_fingerprint(&parts);
-
-        let base_dir = match &opts.out {
-            Some(out) => out.clone(),
-            None => PathBuf::from("results"),
-        };
-        let store = opts.storage_at(&base_dir);
-        let artifact_dir = base_dir.join("diffcheck");
-        let ckpt_key = format!("checkpoints/{name}.ckpt");
-        let ckpt_display = base_dir.join(&ckpt_key);
-        if !opts.resume && opts.checkpoint_every == 0 {
-            return Ok(SweepRunner {
-                name: name.to_string(),
-                store,
-                ckpt_key: None,
-                ckpt_display,
-                artifact_dir,
-                ckpt: SweepCheckpoint::new(fp),
-                every: usize::MAX,
-                since_save: 0,
-                reused: 0,
-                self_checked: 0,
-                violations: 0,
-                engine: EngineStats::default(),
-                journal: None,
-                lock: None,
-            });
-        }
         let lock_key = format!("checkpoints/{name}.lock");
-        take_lock(&store, &lock_key)?;
-        let mut ckpt = if opts.resume {
-            SweepCheckpoint::load_or_new_from(&store, &ckpt_key, fp)?
-        } else {
-            SweepCheckpoint::new(fp)
-        };
-        let journal_key = format!("checkpoints/{name}.journal");
-        let mut journal = UnitJournal::open_in(&store, &journal_key)?;
-        if opts.resume {
-            // A crash between checkpoint saves leaves completed units
-            // only in the journal; fold them in (salvaging a torn
-            // tail first) and compact so the journal never regrows
-            // unboundedly across resumes.
-            let (records, salvage) = UnitJournal::replay_records_in(&store, &journal_key)?;
-            if !salvage.is_clean() {
-                eprintln!(
-                    "[resume] journal {journal_key} had a torn tail: salvaged {} record(s) \
-                     ({} bytes), dropped {} trailing byte(s)",
-                    salvage.records, salvage.valid_bytes, salvage.torn_bytes
-                );
-            }
-            let leases = UnitJournal::outstanding_leases(&records);
-            if !leases.is_empty() {
-                eprintln!(
-                    "[resume] {} unit(s) were leased to workers and never completed \
-                     (coordinator died mid-dispatch); they will be re-dispatched",
-                    leases.len()
-                );
-            }
-            let mut recovered = 0;
-            for record in records {
-                if let sbgp_core::checkpoint::JournalRecord::Unit { key, result } = record {
-                    if ckpt.get(&key).is_none() {
-                        ckpt.insert(key, *result);
-                        recovered += 1;
-                    }
-                }
-            }
-            if recovered > 0 {
-                eprintln!("[resume] {recovered} unit(s) recovered from the journal");
-                ckpt.save_to(&store, &ckpt_key)?;
-            }
-        }
-        journal.reset()?;
-        if !ckpt.is_empty() {
-            println!(
-                "[resume] {} completed units loaded from {}",
-                ckpt.len(),
-                ckpt_display.display()
+        take_lock(&runner.store, &lock_key)?;
+        runner.lock = Some(lock_key);
+        let log_key = format!("checkpoints/{name}.ckpt");
+        let (log, resumed) = SweepLog::open(&runner.store, &log_key, params_fingerprint(&parts))?;
+        if resumed.torn_bytes > 0 {
+            eprintln!(
+                "[resume] {log_key} had a torn tail (a crash mid-append): dropped {} \
+                 trailing byte(s)",
+                resumed.torn_bytes
             );
         }
-        Ok(SweepRunner {
-            name: name.to_string(),
-            store,
-            ckpt_key: Some(ckpt_key),
-            ckpt_display,
-            artifact_dir,
-            ckpt,
-            every: opts.checkpoint_every.max(1),
-            since_save: 0,
-            reused: 0,
-            self_checked: 0,
-            violations: 0,
-            engine: EngineStats::default(),
-            journal: Some(journal),
-            lock: Some(lock_key),
-        })
-    }
-
-    /// The checkpointed result for `key`, if it has already completed
-    /// (in this run, a resumed one, or a merged shard).
-    pub fn get(&self, key: &str) -> Option<&SimResult> {
-        self.ckpt.get(key)
-    }
-
-    /// Journal a lease: `key` is about to be dispatched to `peer`.
-    /// Written (and fsynced) before the assignment leaves the
-    /// coordinator, so a resumed run knows which units were in flight
-    /// at the moment of death. No-op when persistence is off.
-    pub fn lease(&mut self, key: &str, peer: &str) -> Result<(), ExperimentError> {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.append_lease(key, peer)?;
+        if !resumed.leases.is_empty() {
+            eprintln!(
+                "[resume] {} unit(s) were leased to workers and never completed \
+                 (coordinator died mid-dispatch); they will be re-dispatched",
+                resumed.leases.len()
+            );
         }
-        Ok(())
+        let display = base_dir.join(&log_key);
+        if !log.is_empty() {
+            println!(
+                "[resume] {} completed units loaded from {}",
+                log.len(),
+                display.display()
+            );
+        }
+        runner.log = log;
+        runner.log_display = Some(display);
+        Ok(runner)
     }
 
-    /// Run one unit: return the checkpointed result if `key` already
-    /// completed, else compute it via `f`, record it, and persist when
-    /// the save cadence is due. Partial results (a quarantined
-    /// destination task) are reported but do not abort the sweep.
+    /// The logged result for `key`, if it has already completed (in
+    /// this run, a resumed one, or a merged shard).
+    pub fn get(&self, key: &str) -> Option<&SimResult> {
+        self.log.get(key)
+    }
+
+    /// Log a lease: `key` is about to be dispatched to `peer`. Written
+    /// (and fsynced) before the assignment leaves the coordinator, so a
+    /// resumed run knows which units were in flight at the moment of
+    /// death. No-op when persistence is off.
+    pub fn lease(&mut self, key: &str, peer: &str) -> Result<(), ExperimentError> {
+        Ok(self.log.lease(key, peer)?)
+    }
+
+    /// Run one unit: return the logged result if `key` already
+    /// completed, else compute it via `f` and record it. Partial
+    /// results (a quarantined destination task) are reported but do not
+    /// abort the sweep.
     pub fn run(
         &mut self,
         key: String,
         f: impl FnOnce() -> SimResult,
     ) -> Result<SimResult, ExperimentError> {
-        if let Some(prev) = self.ckpt.get(&key) {
+        if let Some(prev) = self.log.get(&key) {
             self.reused += 1;
             return Ok(prev.clone());
         }
@@ -295,12 +239,12 @@ impl SweepRunner {
     }
 
     /// Merge a unit computed by a shard worker process. The engine
-    /// counters arrive separately because the checkpoint codec
+    /// counters arrive separately because the result codec
     /// deliberately zeroes `SimResult::stats` — the shard result frame
     /// carries them alongside so `[engine]` summaries stay accurate in
     /// sharded mode.
     ///
-    /// A key the checkpoint already holds is dropped, not re-counted:
+    /// A key the log already holds is dropped, not re-counted:
     /// a shard retried after a hard crash can complete twice, and
     /// completeness/engine accounting must count unique units, not
     /// attempts.
@@ -310,15 +254,15 @@ impl SweepRunner {
         result: SimResult,
         stats: &EngineStats,
     ) -> Result<(), ExperimentError> {
-        if self.ckpt.get(key).is_some() {
+        if self.log.get(key).is_some() {
             return Ok(());
         }
         self.record(key.to_string(), result, stats)
     }
 
     /// Shared bookkeeping for a freshly completed unit: integrity
-    /// warnings, self-check artifacts, engine counters, the journal
-    /// append, and the checkpoint save cadence.
+    /// warnings, self-check artifacts, engine counters, and the log
+    /// append.
     fn record(
         &mut self,
         key: String,
@@ -364,27 +308,12 @@ impl SweepRunner {
                 eprintln!("warning: could not write artifact {}: {e}", file.display());
             }
         }
-        if let Some(journal) = self.journal.as_mut() {
-            journal.append(&key, &result)?;
-        }
-        self.ckpt.insert(key, result);
-        self.since_save += 1;
-        if let Some(key) = &self.ckpt_key {
-            if self.since_save >= self.every {
-                self.ckpt.save_to(&self.store, key)?;
-                self.since_save = 0;
-                // Everything journaled is now in the checkpoint.
-                if let Some(journal) = self.journal.as_mut() {
-                    journal.reset()?;
-                }
-            }
-        }
-        Ok(())
+        Ok(self.log.insert(key, result)?)
     }
 
-    /// Final save (if any unit since the last one) and a resume note.
-    /// The checkpoint file is kept so the sweep can be re-emitted or
-    /// extended without recomputation; delete it to start over.
+    /// Summaries, a resume note, and the lock release. The log is kept
+    /// so the sweep can be re-emitted or extended without
+    /// recomputation; delete it to start over.
     pub fn finish(self) -> Result<(), ExperimentError> {
         let e = &self.engine;
         if e.dests_computed + e.dests_reused > 0 {
@@ -431,14 +360,11 @@ impl SweepRunner {
                 }
             );
         }
-        if let Some(key) = &self.ckpt_key {
-            if self.since_save > 0 {
-                self.ckpt.save_to(&self.store, key)?;
-            }
+        if let Some(display) = &self.log_display {
             println!(
                 "[checkpoint] {} units in {}{}",
-                self.ckpt.len(),
-                self.ckpt_display.display(),
+                self.log.len(),
+                display.display(),
                 if self.reused > 0 {
                     format!(" ({} reused)", self.reused)
                 } else {
@@ -460,13 +386,9 @@ impl SweepRunner {
                 );
             }
         }
-        // The checkpoint now holds everything; a lingering journal or
-        // lock would only confuse the next run (and `repro doctor`).
-        // Cleanup is best-effort: under fault injection a failed delete
-        // must not fail an otherwise completed sweep.
-        if let Some(journal) = &self.journal {
-            let _ = self.store.delete(journal.key());
-        }
+        // A lingering lock would only confuse the next run (and `repro
+        // doctor`). Release is best-effort: under fault injection a
+        // failed delete must not fail an otherwise completed sweep.
         if let Some(lock) = &self.lock {
             let _ = self.store.unlock(lock, &lock_owner());
         }

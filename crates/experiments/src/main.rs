@@ -12,6 +12,7 @@ mod cli;
 mod doctor;
 mod error;
 mod harness;
+mod json;
 mod output;
 mod world;
 
@@ -161,7 +162,7 @@ fn help() {
 
 USAGE: repro <command> [--ases N] [--seed S] [--theta T] [--cp-fraction X]
              [--threads K] [--out DIR] [--census] [--config FILE]
-             [--resume] [--checkpoint-every N] [--fail-links R] [--max-retries N]
+             [--resume] [--fail-links R] [--max-retries N]
              [--self-check RATE] [--deadline SECS] [--task-deadline SECS]
        repro doctor [--fix] <file-or-dir>...
        repro worker --listen ADDR [--port-file PATH]
@@ -220,16 +221,18 @@ COMMANDS
   ext-greedy      greedy early-adopter selection vs degree heuristic
   ext-incoming    the case study under the incoming-utility model
   all      everything above
-  doctor   validate graph/checkpoint/config files and supervisor artifacts
-           (torn journals, stale locks/scratch dirs); --fix salvages them
+  doctor   validate graph/config files, sweep and job logs, and supervisor
+           artifacts (torn or damaged logs, stale locks/scratch dirs);
+           --fix salvages them
 
 FAULT TOLERANCE
-  --resume              resume sweep commands (fig8/9/11/12) from checkpoint
-  --checkpoint-every N  persist sweep progress every N units (atomic rename)
+  --resume              log every finished sweep unit (fig8/9/11/12) to
+                        checkpoints/<cmd>.ckpt, one fsync'd append each,
+                        and skip the units an existing log already holds
   --fail-links R        degrade the topology: drop each link w.p. R (seeded)
   --max-retries N       retries before a panicking task is quarantined
   --disk-chaos SPEC     seeded fault injection on every artifact-store
-                        operation (checkpoints, journals, locks, CSVs);
+                        operation (sweep/job logs, locks, CSVs);
                         SPEC is `eio=P,enospc=P,torn=P,crash=P,corrupt=P,
                         latency=P,latency-ms=MS,seed=S` (any subset)
 

@@ -20,10 +20,10 @@
 
 use crate::cli::Options;
 use crate::error::ExperimentError;
+use crate::json;
 use sbgp_core::serve::{Admission, JobBoard, JobSpec, Phase};
 use sbgp_core::storage::Store;
 use sbgp_routing::RoutingAtlas;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -424,127 +424,6 @@ fn respond_json(stream: &mut TcpStream, status: u16, reason: &str, json: &str) {
     );
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Parse a flat JSON object of string (or scalar, kept as raw text)
-/// values — the whole request vocabulary this service needs, with
-/// full string-escape handling and no external dependencies.
-fn parse_json_object(text: &str) -> Result<HashMap<String, String>, String> {
-    let bytes = text.as_bytes();
-    let mut i = 0usize;
-    let skip_ws = |i: &mut usize| {
-        while *i < bytes.len() && bytes[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    let parse_string = |i: &mut usize| -> Result<String, String> {
-        if bytes.get(*i) != Some(&b'"') {
-            return Err(format!("expected string at byte {i:?}"));
-        }
-        *i += 1;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = bytes.get(*i) else {
-                return Err("unterminated string".into());
-            };
-            *i += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = bytes.get(*i) else {
-                        return Err("unterminated escape".into());
-                    };
-                    *i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = text.get(*i..*i + 4).ok_or("truncated \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            *i += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Recover the full UTF-8 character starting here.
-                    let start = *i - 1;
-                    let mut end = *i;
-                    while end < bytes.len() && (bytes[end] & 0b1100_0000) == 0b1000_0000 {
-                        end += 1;
-                    }
-                    out.push_str(&String::from_utf8_lossy(&bytes[start..end]));
-                    *i = end;
-                }
-            }
-        }
-    };
-    skip_ws(&mut i);
-    if bytes.get(i) != Some(&b'{') {
-        return Err("body must be a JSON object".into());
-    }
-    i += 1;
-    let mut map = HashMap::new();
-    skip_ws(&mut i);
-    if bytes.get(i) == Some(&b'}') {
-        return Ok(map);
-    }
-    loop {
-        skip_ws(&mut i);
-        let key = parse_string(&mut i)?;
-        skip_ws(&mut i);
-        if bytes.get(i) != Some(&b':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        i += 1;
-        skip_ws(&mut i);
-        let value = match bytes.get(i) {
-            Some(&b'"') => parse_string(&mut i)?,
-            Some(_) => {
-                let start = i;
-                while i < bytes.len() && !b",}".contains(&bytes[i]) {
-                    i += 1;
-                }
-                let scalar = text[start..i].trim();
-                if scalar.is_empty() {
-                    return Err(format!("missing value for key {key:?}"));
-                }
-                scalar.to_string()
-            }
-            None => return Err("truncated object".into()),
-        };
-        map.insert(key, value);
-        skip_ws(&mut i);
-        match bytes.get(i) {
-            Some(&b',') => i += 1,
-            Some(&b'}') => return Ok(map),
-            _ => return Err("expected ',' or '}'".into()),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Endpoints
 // ---------------------------------------------------------------------
@@ -553,7 +432,7 @@ fn job_status_json(d: &Daemon, id: &str) -> Option<String> {
     let board = d.board.lock().expect("board poisoned");
     let j = board.job(id)?;
     let error = match &j.error {
-        Some(e) => format!(",\"error\":\"{}\"", json_escape(first_line(e))),
+        Some(e) => format!(",\"error\":\"{}\"", json::escape(first_line(e))),
         None => String::new(),
     };
     Some(format!(
@@ -565,10 +444,10 @@ fn job_status_json(d: &Daemon, id: &str) -> Option<String> {
 
 fn post_job(d: &Daemon, req: &Request, fallback_client: &str, stream: &mut TcpStream) {
     let text = String::from_utf8_lossy(&req.body).into_owned();
-    let fields = match parse_json_object(&text) {
+    let fields = match json::parse_object(&text) {
         Ok(f) => f,
         Err(e) => {
-            let body = format!("{{\"error\":\"bad request body: {}\"}}", json_escape(&e));
+            let body = format!("{{\"error\":\"bad request body: {}\"}}", json::escape(&e));
             return respond_json(stream, 400, "Bad Request", &body);
         }
     };
@@ -585,19 +464,19 @@ fn post_job(d: &Daemon, req: &Request, fallback_client: &str, stream: &mut TcpSt
     if job_runner(cmd).is_none() {
         let body = format!(
             "{{\"error\":\"unsupported cmd {}; serve runs fig8|fig9|fig11|fig12|scenario\"}}",
-            json_escape(cmd)
+            json::escape(cmd)
         );
         return respond_json(stream, 400, "Bad Request", &body);
     }
     if let Err(e) = Options::from_config_str(&config) {
-        let body = format!("{{\"error\":\"bad config: {}\"}}", json_escape(&e));
+        let body = format!("{{\"error\":\"bad config: {}\"}}", json::escape(&e));
         return respond_json(stream, 400, "Bad Request", &body);
     }
     let spec = JobSpec::new(cmd, &config);
     let admission = d.board.lock().expect("board poisoned").submit(spec, client);
     match admission {
         Err(e) => {
-            let body = format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string()));
+            let body = format!("{{\"error\":\"{}\"}}", json::escape(&e.to_string()));
             respond_json(stream, 500, "Internal Server Error", &body);
         }
         Ok(Admission::Accepted { id }) => {
@@ -674,7 +553,7 @@ fn get_result(d: &Daemon, id: &str, stream: &mut TcpStream) {
                 "{\"error\":\"result missing behind a done record\"}",
             ),
             Err(e) => {
-                let body = format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string()));
+                let body = format!("{{\"error\":\"{}\"}}", json::escape(&e.to_string()));
                 respond_json(stream, 500, "Internal Server Error", &body);
             }
         },
@@ -965,31 +844,6 @@ pub fn serve_cmd(opts: &Options) -> Result<(), ExperimentError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_object_parses_escapes_and_scalars() {
-        let m = parse_json_object(
-            "{\"cmd\": \"fig9\", \"config\": \"ases = 64\\ntheta = 0.05\\n\", \"n\": 3, \"ok\": true}",
-        )
-        .unwrap();
-        assert_eq!(m["cmd"], "fig9");
-        assert_eq!(m["config"], "ases = 64\ntheta = 0.05\n");
-        assert_eq!(m["n"], "3");
-        assert_eq!(m["ok"], "true");
-        let m = parse_json_object("{\"a\": \"q\\\"\\\\\\u0041\"}").unwrap();
-        assert_eq!(m["a"], "q\"\\A");
-        assert!(parse_json_object("[1]").is_err());
-        assert!(parse_json_object("{\"a\": }").is_err());
-        assert!(parse_json_object("{}").unwrap().is_empty());
-    }
-
-    #[test]
-    fn json_escape_round_trips_through_parse() {
-        let nasty = "line1\nline2\t\"quoted\" \\slash\u{1}";
-        let body = format!("{{\"v\":\"{}\"}}", json_escape(nasty));
-        let m = parse_json_object(&body).unwrap();
-        assert_eq!(m["v"], nasty);
-    }
 
     #[test]
     fn runners_and_csvs_cover_the_same_commands() {

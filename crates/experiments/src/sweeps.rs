@@ -1,9 +1,10 @@
 //! The θ-sweep figures (8, 9, 11, 12), with checkpoint/resume.
 //!
 //! Each sweep cell (one early-adopter set × one θ, plus any per-figure
-//! dimensions) is a checkpoint unit: with `--checkpoint-every N`,
-//! finished cells are persisted every `N` units, and `--resume` reloads
-//! them instead of recomputing — see [`crate::harness::SweepRunner`].
+//! dimensions) is a checkpoint unit: with `--resume`, each finished
+//! cell is appended to the sweep's record log as it completes, and a
+//! rerun reuses the cells the log holds instead of recomputing them —
+//! see [`crate::harness::SweepRunner`].
 
 use crate::cli::Options;
 use crate::error::ExperimentError;

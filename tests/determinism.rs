@@ -6,7 +6,8 @@
 
 use sbgp_asgraph::gen::{generate, GenParams};
 use sbgp_asgraph::Weights;
-use sbgp_core::checkpoint::{params_fingerprint, SweepCheckpoint};
+use sbgp_core::checkpoint::{params_fingerprint, SweepLog};
+use sbgp_core::storage::Store;
 use sbgp_core::{EarlyAdopters, SimConfig, SimResult, Simulation};
 use sbgp_routing::HashTieBreak;
 
@@ -65,24 +66,30 @@ fn sweep_unit(theta: f64) -> SimResult {
     Simulation::new(&g, &w, &HashTieBreak, cfg).run(&adopters)
 }
 
+/// A fresh store in a per-test temp dir.
+fn store(tag: &str) -> (std::path::PathBuf, Store) {
+    let dir = std::env::temp_dir().join(format!("sbgp_determinism_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    (dir.clone(), Store::localdisk(dir))
+}
+
 #[test]
 fn checkpoint_round_trip_is_bit_identical() {
-    // Serialize a mid-sweep checkpoint, reload it, and verify the
-    // stored results are exactly the ones computed — including the
-    // f64 bit patterns (the codec stores raw IEEE-754 bits, so no
-    // decimal round-trip error can creep in).
-    let dir = std::env::temp_dir().join("sbgp_determinism_ckpt");
-    let path = dir.join("roundtrip.ckpt");
-    let _ = std::fs::remove_file(&path);
+    // Log a mid-sweep run, reopen the log, and verify the stored
+    // results are exactly the ones computed — including the f64 bit
+    // patterns (the codec stores raw IEEE-754 bits, so no decimal
+    // round-trip error can creep in).
+    let (dir, store) = store("ckpt");
     let fp = params_fingerprint(&["ases=200", "seed=42", "cp=0.10"]);
 
-    let mut ckpt = SweepCheckpoint::new(fp);
+    let (mut log, _) = SweepLog::open(&store, "roundtrip.ckpt", fp).unwrap();
     for theta in [0.0, 0.05, 0.10] {
-        ckpt.insert(format!("theta={theta}"), sweep_unit(theta));
+        log.insert(format!("theta={theta}"), sweep_unit(theta))
+            .unwrap();
     }
-    ckpt.save(&path).unwrap();
+    drop(log);
 
-    let restored = SweepCheckpoint::load(&path, fp).unwrap();
+    let (restored, _) = SweepLog::open(&store, "roundtrip.ckpt", fp).unwrap();
     for theta in [0.0, 0.05, 0.10] {
         let original = sweep_unit(theta);
         let stored = restored.get(&format!("theta={theta}")).unwrap();
@@ -96,30 +103,30 @@ fn checkpoint_round_trip_is_bit_identical() {
         }
         assert_eq!(original.final_state, stored.final_state);
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn interrupted_sweep_resumes_to_identical_results() {
-    // Simulate an interrupted θ-sweep: the first run completes two of
-    // four units and checkpoints; the "resumed" run loads them, reuses
-    // them verbatim, and computes the rest. The combined results must
-    // equal an uninterrupted sweep's, unit for unit.
-    let dir = std::env::temp_dir().join("sbgp_determinism_resume");
-    let path = dir.join("sweep.ckpt");
-    let _ = std::fs::remove_file(&path);
+    // Simulate an interrupted θ-sweep: the first run logs two of four
+    // units and dies; the "resumed" run reopens the log, reuses them
+    // verbatim, and computes the rest. The combined results must equal
+    // an uninterrupted sweep's, unit for unit.
+    let (dir, store) = store("resume");
     let fp = params_fingerprint(&["ases=200", "seed=42", "cp=0.10"]);
     let thetas = [0.0, 0.05, 0.10, 0.20];
 
     // First run: interrupted after two units.
-    let mut first = SweepCheckpoint::new(fp);
+    let (mut first, _) = SweepLog::open(&store, "sweep.ckpt", fp).unwrap();
     for &theta in &thetas[..2] {
-        first.insert(format!("theta={theta}"), sweep_unit(theta));
+        first
+            .insert(format!("theta={theta}"), sweep_unit(theta))
+            .unwrap();
     }
-    first.save(&path).unwrap();
+    drop(first);
 
-    // Resumed run: finish the sweep from the checkpoint.
-    let mut resumed = SweepCheckpoint::load(&path, fp).unwrap();
+    // Resumed run: finish the sweep from the log.
+    let (mut resumed, _) = SweepLog::open(&store, "sweep.ckpt", fp).unwrap();
     assert_eq!(resumed.len(), 2, "two units survive the interruption");
     let finished: Vec<SimResult> = thetas
         .iter()
@@ -129,7 +136,7 @@ fn interrupted_sweep_resumes_to_identical_results() {
                 Some(prev) => prev.clone(),
                 None => {
                     let r = sweep_unit(*theta);
-                    resumed.insert(key, r.clone());
+                    resumed.insert(key, r.clone()).unwrap();
                     r
                 }
             }
@@ -140,5 +147,5 @@ fn interrupted_sweep_resumes_to_identical_results() {
     for (theta, from_resume) in thetas.iter().zip(finished.iter()) {
         assert_eq!(*from_resume, sweep_unit(*theta));
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -94,11 +94,13 @@ fn dead_pid() -> u32 {
     pid
 }
 
-/// Build a journal with one real record, then append torn garbage.
+/// Build a sweep log with one real unit record, then append torn
+/// garbage.
 fn torn_journal(dir: &std::path::Path) -> PathBuf {
     use sbgp_asgraph::gen::{generate, GenParams};
     use sbgp_asgraph::Weights;
-    use sbgp_core::checkpoint::UnitJournal;
+    use sbgp_core::checkpoint::SweepLog;
+    use sbgp_core::storage::Store;
     use sbgp_core::{EarlyAdopters, SimConfig, Simulation};
     use sbgp_routing::HashTieBreak;
 
@@ -106,11 +108,11 @@ fn torn_journal(dir: &std::path::Path) -> PathBuf {
     let w = Weights::with_cp_fraction(&g, 0.10);
     let res = Simulation::new(&g, &w, &HashTieBreak, SimConfig::default())
         .run(&EarlyAdopters::ContentProviders.select(&g));
-    let path = dir.join("sweep.journal");
-    let mut j = UnitJournal::open(&path).expect("open journal");
-    j.append("cps;theta=0.05", &res).expect("append");
-    drop(j);
-    let mut bytes = std::fs::read(&path).expect("read journal");
+    let path = dir.join("fig9.ckpt");
+    let (mut log, _) = SweepLog::open(&Store::localdisk(dir), "fig9.ckpt", 7).expect("open log");
+    log.insert("cps;theta=0.05".into(), res).expect("append");
+    drop(log);
+    let mut bytes = std::fs::read(&path).expect("read log");
     bytes.extend_from_slice(b"rec 999 deadbeef\ntruncated mid-app");
     std::fs::write(&path, bytes).expect("write torn journal");
     path

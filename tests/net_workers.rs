@@ -71,6 +71,13 @@ impl Drop for Worker {
     }
 }
 
+/// Does the sweep log hold a unit record yet? The log exists from the
+/// moment the sweep opens it and leases precede units, so existence
+/// alone does not mean a unit is saved.
+fn has_unit_record(log: &std::path::Path) -> bool {
+    std::fs::read(log).is_ok_and(|b| b.split(|&c| c == b'\n').any(|l| l.starts_with(b"unit ")))
+}
+
 #[test]
 fn tcp_workers_match_single_process_and_survive_coordinator_sigkill() {
     let reference = tmp("ref");
@@ -86,9 +93,9 @@ fn tcp_workers_match_single_process_and_survive_coordinator_sigkill() {
     let mut w1 = Worker::spawn(&crashed, 1);
     let workers = format!("{},{}", w0.addr, w1.addr);
 
-    // Coordinator with per-unit checkpointing, SIGKILLed once the
-    // first checkpoint lands — lock, journal (with live leases), and
-    // partial checkpoint are left exactly as a crash leaves them.
+    // Coordinator with the sweep log on, SIGKILLed once the first unit
+    // record lands — lock and log (with live leases) are left exactly
+    // as a crash leaves them.
     let mut coord = repro()
         .args([
             "fig9",
@@ -96,8 +103,7 @@ fn tcp_workers_match_single_process_and_survive_coordinator_sigkill() {
             "400",
             "--workers",
             &workers,
-            "--checkpoint-every",
-            "1",
+            "--resume",
             "--out",
         ])
         .arg(&crashed)
@@ -107,10 +113,13 @@ fn tcp_workers_match_single_process_and_survive_coordinator_sigkill() {
         .expect("coordinator starts");
     let ckpt = crashed.join("checkpoints").join("fig9.ckpt");
     let deadline = Instant::now() + Duration::from_secs(120);
-    while !ckpt.exists() && Instant::now() < deadline {
+    while !has_unit_record(&ckpt) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(50));
     }
-    assert!(ckpt.exists(), "no checkpoint appeared before the deadline");
+    assert!(
+        has_unit_record(&ckpt),
+        "no unit record was logged before the deadline"
+    );
     coord.kill().expect("kill coordinator");
     let _ = coord.wait();
 
@@ -127,8 +136,6 @@ fn tcp_workers_match_single_process_and_survive_coordinator_sigkill() {
             "400",
             "--workers",
             &workers,
-            "--checkpoint-every",
-            "1",
             "--resume",
             "--out",
         ])
@@ -144,21 +151,17 @@ fn tcp_workers_match_single_process_and_survive_coordinator_sigkill() {
         "CSV diverged after coordinator SIGKILL + resume:\n{err}"
     );
     // Exactly-once across the crash: the resumed dispatch only asked
-    // for units the checkpoint was missing, so the merge count plus
+    // for units the log was missing, so the merge count plus
     // the reused count covers the sweep with no unit counted twice.
     assert!(
         err.contains("[shards] merged") || err.contains("already checkpointed"),
         "resume did not go through the dispatcher:\n{err}"
     );
-    // finish() compacts: journal and lock gone, checkpoint remains.
-    assert!(ckpt.exists(), "checkpoint removed by finish");
+    // finish() releases the lock and keeps the completed log.
+    assert!(ckpt.exists(), "sweep log removed by finish");
     assert!(
         !crashed.join("checkpoints").join("fig9.lock").exists(),
         "stale lock survived a clean finish"
-    );
-    assert!(
-        !crashed.join("checkpoints").join("fig9.journal").exists(),
-        "journal survived a clean finish"
     );
     let _ = std::fs::remove_dir_all(&reference);
     let _ = std::fs::remove_dir_all(&crashed);

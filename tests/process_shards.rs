@@ -123,14 +123,21 @@ fn worker_memory_ceiling_leaves_results_intact() {
     let _ = std::fs::remove_dir_all(&capped);
 }
 
+/// Does the sweep log hold a unit record yet? The log exists from the
+/// moment the sweep opens it and leases precede units, so existence
+/// alone does not mean a unit is saved.
+fn has_unit_record(log: &std::path::Path) -> bool {
+    std::fs::read(log).is_ok_and(|b| b.split(|&c| c == b'\n').any(|l| l.starts_with(b"unit ")))
+}
+
 #[test]
 fn supervisor_sigkill_then_resume_is_byte_identical() {
     let reference = tmp("sigkill-ref");
     let crashed = tmp("sigkill-run");
     fig9("400", &reference, &[]);
 
-    // Start the sharded sweep with per-unit checkpointing, then
-    // SIGKILL the supervisor once at least one unit has been saved.
+    // Start the sharded sweep with the sweep log on, then SIGKILL the
+    // supervisor once at least one unit record has been logged.
     let mut sup = repro()
         .args([
             "fig9",
@@ -140,8 +147,7 @@ fn supervisor_sigkill_then_resume_is_byte_identical() {
             "4",
             "--kill-workers",
             "0.2",
-            "--checkpoint-every",
-            "1",
+            "--resume",
             "--out",
         ])
         .arg(&crashed)
@@ -151,43 +157,33 @@ fn supervisor_sigkill_then_resume_is_byte_identical() {
         .expect("supervisor starts");
     let ckpt = crashed.join("checkpoints").join("fig9.ckpt");
     let deadline = Instant::now() + Duration::from_secs(120);
-    while !ckpt.exists() && Instant::now() < deadline {
+    while !has_unit_record(&ckpt) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(50));
     }
-    assert!(ckpt.exists(), "no checkpoint appeared before the deadline");
-    // SIGKILL — no cleanup handlers run; lock and journal are left
-    // behind for --resume (and `repro doctor`) to deal with.
+    assert!(
+        has_unit_record(&ckpt),
+        "no unit record was logged before the deadline"
+    );
+    // SIGKILL — no cleanup handlers run; lock and log (with live
+    // leases) are left behind for --resume (and `repro doctor`).
     sup.kill().expect("kill supervisor");
     let _ = sup.wait();
 
     let (_, err) = fig9(
         "400",
         &crashed,
-        &[
-            "--process-shards",
-            "4",
-            "--kill-workers",
-            "0.2",
-            "--checkpoint-every",
-            "1",
-            "--resume",
-        ],
+        &["--process-shards", "4", "--kill-workers", "0.2", "--resume"],
     );
     assert_eq!(
         csv(&reference),
         csv(&crashed),
         "CSV diverged after supervisor SIGKILL + resume:\n{err}"
     );
-    // finish() compacts: the journal and lock must be gone, only the
-    // completed checkpoint remains.
-    assert!(ckpt.exists(), "checkpoint removed by finish");
+    // finish() releases the lock and keeps the completed log.
+    assert!(ckpt.exists(), "sweep log removed by finish");
     assert!(
         !crashed.join("checkpoints").join("fig9.lock").exists(),
         "stale lock survived a clean finish"
-    );
-    assert!(
-        !crashed.join("checkpoints").join("fig9.journal").exists(),
-        "journal survived a clean finish"
     );
     let _ = std::fs::remove_dir_all(&reference);
     let _ = std::fs::remove_dir_all(&crashed);
