@@ -5,11 +5,11 @@
 //! without invalidating the run (Appendix C.4). In-process panic
 //! isolation ([`crate::engine`]) cannot survive an abort, an OOM kill,
 //! or a stack overflow — those take the whole process down. This module
-//! moves the fault boundary first to the OS (child worker processes)
-//! and then to the network (remote TCP workers), while keeping one
-//! invariant at every layer: the merged output is **bit-identical** to
-//! a single-process run at any shard count, any kill schedule, any
-//! fault schedule, and any restart interleaving.
+//! moves the fault boundary to separate worker processes reached over
+//! one transport, TCP, whether they are local children or remote
+//! hosts, while keeping one invariant: the merged output is
+//! **bit-identical** to a single-process run at any shard count, any
+//! kill schedule, any fault schedule, and any restart interleaving.
 //!
 //! The module splits along the layers a frame crosses:
 //!
@@ -17,13 +17,12 @@
 //!   every transport) and the supervisor ↔ worker message vocabulary,
 //!   with *typed* faults so a torn frame is distinguishable from a
 //!   poison unit;
-//! * [`transport`] — how frames move: child-process pipes, TCP
-//!   sockets, and a seeded chaos wrapper injecting drops, delays,
-//!   duplicates, torn mid-frame disconnects, and one-way partitions;
+//! * [`transport`] — how frames move: TCP sockets, optionally under a
+//!   seeded chaos wrapper injecting drops, delays, duplicates, torn
+//!   mid-frame disconnects, and one-way partitions;
 //! * [`supervisor`] — the dispatch/requeue/restart loop
 //!   ([`run_supervised`]) generic over a connect factory, plus the
-//!   worker-side serve loop ([`serve_worker`]) and the process-shard
-//!   wrapper ([`run_sharded`]).
+//!   worker-side serve loop ([`serve_worker_until`]).
 //!
 //! Fault handling in one line each: crashes requeue at the front and
 //! restart under a budget with exponential backoff; hangs trip the
@@ -40,12 +39,10 @@ pub use protocol::{
     decode_from_worker, decode_to_worker, encode_from_worker, encode_to_worker, read_frame,
     write_frame, FromWorker, ToWorker, MAX_FRAME_BYTES,
 };
-pub use supervisor::{
-    run_sharded, run_supervised, serve_worker, serve_worker_until, ShardPolicy, ShardReport,
-};
+pub use supervisor::{run_supervised, serve_worker_until, ShardPolicy, ShardReport};
 pub use transport::{
-    pipe_link, tcp_link, ChaosProfile, ChaosSchedule, FaultLedger, FrameRecv, FrameSend,
-    WorkerHandle, WorkerLink,
+    tcp_link, ChaosProfile, ChaosSchedule, FaultLedger, FrameRecv, FrameSend, WorkerHandle,
+    WorkerLink,
 };
 
 use std::fmt;

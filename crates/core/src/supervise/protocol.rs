@@ -4,8 +4,8 @@
 //! The frame encoding is the contract every [`transport`](super::transport)
 //! must preserve **byte for byte**: a 4-byte big-endian payload length
 //! followed by the UTF-8 payload. It is deliberately transport-blind —
-//! the same bytes travel over a child's stdin/stdout pipe, a TCP
-//! socket, or a chaos wrapper injecting faults between the two.
+//! the same bytes travel over a clean TCP socket or through a chaos
+//! wrapper injecting faults on one, and over any in-memory buffer.
 //!
 //! Frame faults are *typed* ([`SuperviseError::TornFrame`],
 //! [`SuperviseError::Oversize`], [`SuperviseError::PeerClosed`]) so the

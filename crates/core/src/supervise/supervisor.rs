@@ -1,13 +1,12 @@
-//! The supervisor and worker event loops, generic over how workers
-//! are reached.
+//! The supervisor and worker event loops.
 //!
 //! [`run_supervised`] drives a sweep's unit keys to completion across
 //! a fleet of [`WorkerLink`]s produced by a caller-supplied `connect`
-//! factory — a factory that spawns a child process, dials a TCP
-//! worker, or (for graceful degradation) falls back from one to the
-//! other. The supervisor itself never knows the difference; every
-//! fault it handles arrives as a typed [`SuperviseError`] or a closed
-//! link.
+//! factory — a factory that dials a TCP worker, spawns a local one and
+//! dials that, or falls back from the first to the second. The
+//! supervisor itself never knows the difference; every fault it
+//! handles arrives as a typed [`SuperviseError`] or a closed link.
+//! [`serve_worker_until`] is the other end of the link.
 //!
 //! Fault model and responses, extending the process-shard story to a
 //! lossy network:
@@ -44,13 +43,12 @@ use super::protocol::{
     decode_from_worker, decode_to_worker, encode_from_worker, encode_to_worker, read_frame,
     write_frame, FromWorker, ToWorker,
 };
-use super::transport::{pipe_link, FaultLedger, WorkerHandle, WorkerLink};
+use super::transport::{FaultLedger, WorkerHandle, WorkerLink};
 use super::SuperviseError;
 use crate::engine::EngineStats;
 use crate::sim::SimResult;
 use std::collections::{HashSet, VecDeque};
-use std::io::{self, Read, Write};
-use std::process::Child;
+use std::io::{Read, Write};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -58,9 +56,8 @@ use std::time::{Duration, Instant};
 // Worker side
 // ---------------------------------------------------------------------
 
-/// Serve the worker side of the protocol over `input`/`output` — a
-/// child's stdin/stdout or the two halves of an accepted TCP socket;
-/// the bytes are identical either way.
+/// Serve the worker side of the protocol over `input`/`output`, the
+/// two halves of one accepted TCP connection.
 ///
 /// The first frame must be [`ToWorker::Job`]; `setup` turns its
 /// command + config into a unit handler and the number of resolvable
@@ -72,28 +69,18 @@ use std::time::{Duration, Instant};
 /// before the error return — a deterministic poison unit is thereby
 /// attributed, not silently retried forever (the supervisor's restart
 /// budget bounds the retries).
-pub fn serve_worker<R, W, S, H>(input: R, output: W, setup: S) -> Result<(), SuperviseError>
-where
-    R: Read,
-    W: Write + Send,
-    S: FnOnce(&str, &str) -> Result<(H, usize), String>,
-    H: FnMut(&str) -> Result<(SimResult, EngineStats), String>,
-{
-    serve_worker_until(input, output, setup, None)
-}
-
-/// [`serve_worker`] with a cooperative stop flag: when `halt` flips
-/// true (a SIGTERM latch in the hosting binary), the worker finishes
-/// the unit it is computing, sends [`FromWorker::Goodbye`], and
-/// returns cleanly — the supervisor sees a voluntary departure and
-/// requeues the rest of the batch without burning restart budget. The
-/// flag is only consulted at unit and batch boundaries, so an
-/// in-flight unit is never torn mid-result.
+///
+/// When `halt` flips true (a SIGTERM latch in the hosting binary), the
+/// worker finishes the unit it is computing, sends
+/// [`FromWorker::Goodbye`], and returns cleanly — the supervisor sees
+/// a voluntary departure and requeues the rest of the batch without
+/// burning restart budget. The flag is only consulted at unit and
+/// batch boundaries, so an in-flight unit is never torn mid-result.
 pub fn serve_worker_until<R, W, S, H>(
     mut input: R,
     output: W,
     setup: S,
-    halt: Option<&std::sync::atomic::AtomicBool>,
+    halt: &std::sync::atomic::AtomicBool,
 ) -> Result<(), SuperviseError>
 where
     R: Read,
@@ -156,7 +143,7 @@ where
                 }
                 Ok(halted)
             };
-            let halted = || halt.is_some_and(|h| h.load(Ordering::Relaxed));
+            let halted = || halt.load(Ordering::Relaxed);
             let (mut handler, units) = match setup(&cmd, &config) {
                 Ok(x) => x,
                 Err(message) => {
@@ -169,8 +156,8 @@ where
             send(&FromWorker::Ready { units })?;
             loop {
                 let Some(text) = read_frame(&mut input)? else {
-                    // Supervisor died (or was killed); exit quietly so
-                    // orphaned workers never linger.
+                    // Supervisor died (or was killed); return quietly
+                    // so a one-connection worker exits with it.
                     return Ok(());
                 };
                 match decode_to_worker(&text).map_err(|e| SuperviseError::Protocol {
@@ -276,8 +263,8 @@ pub struct ShardPolicy {
     /// Backoff ceiling.
     pub backoff_cap: Duration,
     /// Chaos: probability of killing a worker's link after each unit
-    /// it delivers (`0.0` disables injection). A process worker is
-    /// SIGKILLed; a remote worker's socket is severed.
+    /// it delivers (`0.0` disables injection). A spawned local worker
+    /// is SIGKILLed; a remote worker's socket is severed.
     pub kill_rate: f64,
     /// Seed for the injection schedule, so torture runs are
     /// reproducible.
@@ -386,9 +373,8 @@ impl Slot {
 /// Run `keys` to completion across a fleet of worker links.
 ///
 /// `connect` is called with a slot index whenever that slot needs a
-/// (re)connection; it may spawn a child process ([`pipe_link`]), dial
-/// a TCP worker ([`super::transport::tcp_link`]), or decide between
-/// the two (graceful degradation). `on_unit` is called exactly once
+/// (re)connection and returns a [`super::transport::tcp_link`] to a
+/// remote or freshly spawned local worker. `on_unit` is called exactly once
 /// per unique key, in completion order. `on_lease` is called once per
 /// dispatched key with `(key, peer)` *before* the batch is sent —
 /// callers journal these so a resumed coordinator knows which units
@@ -793,11 +779,10 @@ where
                     }
                     Event::Gone { cause, transport } => {
                         if slots[idx].shutting_down {
-                            // Reap a retired child; a remote handle is
-                            // just dropped (the socket is already gone).
-                            if let Some(WorkerHandle::Process(mut child)) = slots[idx].handle.take()
-                            {
-                                let _ = child.wait();
+                            // Reap a retired worker; a spawned child is
+                            // already on its way out.
+                            if let Some(handle) = slots[idx].handle.take() {
+                                handle.retire(Instant::now() + RETIRE_PATIENCE);
                             }
                         } else {
                             let why = cause.unwrap_or_else(|| "link closed".to_string());
@@ -894,68 +879,20 @@ where
     finish(slots, result.map(|()| report))
 }
 
-/// Run `keys` to completion across a fleet of child worker processes —
-/// the process-shard entry point, now a thin wrapper over
-/// [`run_supervised`] with a pipe-link factory and no lease journal.
-///
-/// `spawn` must produce a child with piped stdin/stdout already in
-/// worker mode (the caller owns the re-exec incantation and any
-/// rlimit wrapper). `on_unit` is called exactly once per unique key,
-/// in completion order.
-pub fn run_sharded<S, F>(
-    policy: &ShardPolicy,
-    cmd: &str,
-    config: &str,
-    keys: &[String],
-    mut spawn: S,
-    on_unit: F,
-) -> Result<ShardReport, SuperviseError>
-where
-    S: FnMut() -> io::Result<Child>,
-    F: FnMut(&str, SimResult, EngineStats) -> Result<(), String>,
-{
-    run_supervised(
-        policy,
-        cmd,
-        config,
-        keys,
-        |_idx| {
-            let child = spawn().map_err(|e| SuperviseError::Spawn {
-                message: e.to_string(),
-            })?;
-            pipe_link(child)
-        },
-        on_unit,
-        |_key, _peer| Ok(()),
-    )
-}
+/// How long a worker sent `Shutdown` may take to exit on its own.
+const RETIRE_PATIENCE: Duration = Duration::from_secs(5);
 
 /// Shut every worker down (politely, then firmly) and return `result`.
 fn finish<T>(mut slots: Vec<Slot>, result: Result<T, SuperviseError>) -> Result<T, SuperviseError> {
     for slot in &mut slots {
-        if let Some(tx) = slot.tx.as_mut() {
+        if let Some(mut tx) = slot.tx.take() {
             let _ = tx.send_frame(&encode_to_worker(&ToWorker::Shutdown));
         }
-        slot.tx = None;
     }
-    let patience = Instant::now() + Duration::from_secs(5);
+    let patience = Instant::now() + RETIRE_PATIENCE;
     for slot in &mut slots {
-        match slot.handle.take() {
-            Some(WorkerHandle::Process(mut child)) => loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < patience => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                }
-            },
-            Some(mut handle @ WorkerHandle::Remote(_)) => handle.sever(),
-            None => {}
+        if let Some(handle) = slot.handle.take() {
+            handle.retire(patience);
         }
     }
     result

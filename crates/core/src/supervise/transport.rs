@@ -1,25 +1,22 @@
 //! Transport abstraction under the frame protocol.
 //!
 //! A [`FrameSend`]/[`FrameRecv`] pair moves whole frames between the
-//! supervisor and one worker. The *bytes on the link* are identical
-//! for every implementation — the 4-byte big-endian length prefix and
-//! UTF-8 payload of [`super::protocol`] — so the three transports are
-//! interchangeable:
+//! supervisor and one worker. Every worker is reached the same way: a
+//! [`std::net::TcpStream`] to a `repro worker`, split into two halves
+//! by [`tcp_link`] — whether the worker is a long-lived remote process
+//! (`--workers`) or a one-connection child the coordinator spawned on
+//! localhost (`--process-shards`). The bytes on the link are the
+//! 4-byte big-endian length prefix and UTF-8 payload of
+//! [`super::protocol`].
 //!
-//! * **pipes** — a child process's stdin/stdout ([`IoSender`] /
-//!   [`IoReceiver`] over [`std::process::ChildStdin`]/`ChildStdout`),
-//!   the original `--process-shards` path;
-//! * **TCP** — a [`std::net::TcpStream`] split into two halves via
-//!   [`tcp_link`], the `repro worker --listen` / `--workers` path;
-//! * **chaos** — [`ChaosSender`]/[`ChaosReceiver`] wrapping any raw
-//!   byte stream and injecting drops, delays, duplicated frames, torn
-//!   mid-frame disconnects, and one-way partitions from a seeded,
-//!   deterministic schedule ([`ChaosProfile`]).
-//!
-//! Every injected fault increments a shared [`FaultLedger`]; the
-//! supervisor snapshots it per connection so link deaths caused by
-//! injected chaos are exempt from the restart budget, exactly like the
-//! seeded `--kill-workers` SIGKILLs.
+//! With a [`ChaosProfile`], both directions are wrapped in
+//! [`ChaosSender`]/[`ChaosReceiver`], which inject drops, delays,
+//! duplicated frames, torn mid-frame disconnects, and one-way
+//! partitions from a seeded, deterministic schedule. Every injected
+//! fault increments a shared [`FaultLedger`]; the supervisor snapshots
+//! it per connection so link deaths caused by injected chaos are
+//! exempt from the restart budget, exactly like the seeded
+//! `--kill-workers` SIGKILLs.
 
 use super::protocol::{write_frame, MAX_FRAME_BYTES};
 use super::{protocol, SuperviseError};
@@ -27,9 +24,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::process::Child;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The sending half of a frame link.
 pub trait FrameSend: Send {
@@ -44,7 +42,7 @@ pub trait FrameRecv: Send {
     fn recv_frame(&mut self) -> Result<Option<String>, SuperviseError>;
 }
 
-/// [`FrameSend`] over any raw byte sink (pipe, socket, `Vec<u8>`).
+/// [`FrameSend`] over any raw byte sink (a socket half, a `Vec<u8>`).
 pub struct IoSender<W: Write + Send>(pub W);
 
 impl<W: Write + Send> FrameSend for IoSender<W> {
@@ -62,37 +60,46 @@ impl<R: Read + Send> FrameRecv for IoReceiver<R> {
     }
 }
 
-/// What the supervisor holds to forcefully terminate a worker link.
-pub enum WorkerHandle {
-    /// A local child process: killed and reaped on failure.
-    Process(std::process::Child),
-    /// A remote TCP worker: the socket is shut down on failure (the
-    /// worker process itself survives and returns to listening — it
-    /// can be reconnected to). The stream is a `try_clone` of the
-    /// link's, so `shutdown` also unblocks a reader thread parked in
-    /// a blocking `read`.
-    Remote(TcpStream),
+/// What the supervisor holds to end a worker link: a clone of the
+/// link's socket (so `shutdown` also unblocks a reader thread parked
+/// in a blocking `read`) and, for a worker this coordinator spawned,
+/// the child process.
+pub struct WorkerHandle {
+    stream: TcpStream,
+    child: Option<Child>,
 }
 
 impl WorkerHandle {
-    /// Terminate the peer/link as hard as the handle allows.
+    /// Terminate the link as hard as the handle allows: shut the
+    /// socket, then kill and reap a spawned child. A remote worker
+    /// survives and returns to listening.
     pub fn sever(&mut self) {
-        match self {
-            WorkerHandle::Process(child) => {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            WorkerHandle::Remote(stream) => {
-                let _ = stream.shutdown(Shutdown::Both);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        if let Some(child) = &mut self.child {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+
+    /// Let go of a worker that was sent `Shutdown`: half-close the
+    /// socket (EOF even if the frame was lost), give a spawned child
+    /// until `patience` to exit on its own, then [`Self::sever`].
+    pub fn retire(mut self, patience: Instant) {
+        let _ = self.stream.shutdown(Shutdown::Write);
+        if let Some(child) = &mut self.child {
+            while matches!(child.try_wait(), Ok(None)) && Instant::now() < patience {
+                std::thread::sleep(Duration::from_millis(20));
             }
         }
+        self.sever();
     }
 
     /// A short human description for log lines.
     pub fn describe(&self) -> String {
-        match self {
-            WorkerHandle::Process(child) => format!("process {}", child.id()),
-            WorkerHandle::Remote(stream) => stream
+        match &self.child {
+            Some(child) => format!("process {}", child.id()),
+            None => self
+                .stream
                 .peer_addr()
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| "remote".into()),
@@ -116,21 +123,13 @@ pub struct WorkerLink {
     pub ledger: Option<FaultLedger>,
 }
 
-/// Build a [`WorkerLink`] from a spawned child with piped stdio.
-/// Returns an error if the child was spawned without the pipes.
-pub fn pipe_link(mut child: std::process::Child) -> Result<WorkerLink, SuperviseError> {
-    let stdin = child.stdin.take().ok_or_else(|| SuperviseError::Spawn {
-        message: "worker spawned without piped stdin".into(),
-    })?;
-    let stdout = child.stdout.take().ok_or_else(|| SuperviseError::Spawn {
-        message: "worker spawned without piped stdout".into(),
-    })?;
-    Ok(WorkerLink {
-        tx: Box::new(IoSender(stdin)),
-        rx: Box::new(IoReceiver(stdout)),
-        handle: WorkerHandle::Process(child),
-        ledger: None,
-    })
+impl WorkerLink {
+    /// Attach the child process serving this link, so severing the
+    /// link also kills it.
+    pub fn with_child(mut self, child: Child) -> WorkerLink {
+        self.handle.child = Some(child);
+        self
+    }
 }
 
 /// Split a connected [`TcpStream`] into a [`WorkerLink`], optionally
@@ -181,7 +180,10 @@ pub fn tcp_link(
     Ok(WorkerLink {
         tx,
         rx,
-        handle: WorkerHandle::Remote(handle_half),
+        handle: WorkerHandle {
+            stream: handle_half,
+            child: None,
+        },
         ledger,
     })
 }

@@ -724,46 +724,18 @@ struct WorkerFleet {
 
 impl WorkerFleet {
     fn spawn(base: &Path, n: usize) -> Result<WorkerFleet, ExperimentError> {
-        let exe = std::env::current_exe()
-            .map_err(|e| ExperimentError::Harness(format!("current_exe: {e}")))?;
         std::fs::create_dir_all(base)
             .map_err(|e| ExperimentError::Harness(format!("creating {}: {e}", base.display())))?;
         let mut fleet = WorkerFleet {
             children: Vec::new(),
             addrs: Vec::new(),
         };
-        let mut port_files = Vec::new();
         for i in 0..n {
             let pf = base.join(format!("worker-{i}.port"));
-            let _ = std::fs::remove_file(&pf);
-            let child = Command::new(&exe)
-                .args(["worker", "--listen", "127.0.0.1:0", "--port-file"])
-                .arg(&pf)
-                .stdout(Stdio::null())
-                .stderr(Stdio::inherit())
-                .spawn()
+            let (child, addr) = crate::net::spawn_worker(&pf, false, 0)
                 .map_err(|e| ExperimentError::Harness(format!("spawning worker {i}: {e}")))?;
             fleet.children.push(child);
-            port_files.push(pf);
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        for (i, pf) in port_files.iter().enumerate() {
-            loop {
-                if let Ok(addr) = std::fs::read_to_string(pf) {
-                    let addr = addr.trim().to_string();
-                    if !addr.is_empty() {
-                        fleet.addrs.push(addr);
-                        break;
-                    }
-                }
-                if Instant::now() >= deadline {
-                    return Err(ExperimentError::Harness(format!(
-                        "worker {i} never published its port ({})",
-                        pf.display()
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            fleet.addrs.push(addr);
         }
         Ok(fleet)
     }

@@ -79,18 +79,15 @@ pub struct Options {
     /// sweep units to instead of (or alongside) local process shards.
     /// Duplicates are rejected at parse time.
     pub workers: Vec<String>,
-    /// Chaos: seeded network-fault schedule applied to every remote
-    /// worker link (drops, dups, delays, torn frames, partitions).
+    /// Chaos: seeded network-fault schedule applied to every worker
+    /// link, local or remote (drops, dups, delays, torn frames,
+    /// partitions).
     /// `None` = clean links.
     pub net_chaos: Option<sbgp_core::supervise::ChaosProfile>,
     /// Chaos: seeded disk-fault schedule applied to every durable
     /// artifact the run writes (checkpoints, journals, locks, figure
     /// CSVs). `None` = a clean disk.
     pub disk_chaos: Option<sbgp_core::storage::DiskChaosProfile>,
-    /// Keep at least this many remote links live; when the remote pool
-    /// drains below it, the coordinator degrades gracefully by
-    /// spawning local process-shard workers instead.
-    pub remote_floor: usize,
     /// Per-unit lease in seconds: a worker holding units that makes no
     /// progress for this long is recycled even if it heartbeats.
     pub lease_secs: f64,
@@ -153,7 +150,6 @@ impl Default for Options {
             workers: Vec::new(),
             net_chaos: None,
             disk_chaos: None,
-            remote_floor: 1,
             lease_secs: 120.0,
             deadline_at: None,
             pairs: 40,
@@ -369,7 +365,6 @@ fn apply(o: &mut Options, key: &str, v: &str) -> Result<(), String> {
                 .map_err(|e| format!("--disk-chaos: {e}"))?;
             o.disk_chaos = profile.is_active().then_some(profile);
         }
-        "remote-floor" => o.remote_floor = num(key, v)?,
         "lease-secs" => o.lease_secs = num(key, v)?,
         "serve" => o.serve = num(key, v)?,
         "listen" => o.listen = Some(v.into()),
@@ -676,15 +671,12 @@ mod tests {
         let o = Options::parse(&[]).unwrap();
         assert!(o.workers.is_empty());
         assert!(o.net_chaos.is_none());
-        assert_eq!(o.remote_floor, 1);
         assert_eq!(o.lease_secs, 120.0);
         let o = Options::parse(&s(&[
             "--workers",
             "10.0.0.1:9001, 10.0.0.2:9001",
             "--net-chaos",
             "drop=0.05,dup=0.05,seed=7",
-            "--remote-floor",
-            "2",
             "--lease-secs",
             "15",
         ]))
@@ -693,7 +685,6 @@ mod tests {
         let chaos = o.net_chaos.unwrap();
         assert_eq!(chaos.drop, 0.05);
         assert_eq!(chaos.seed, 7);
-        assert_eq!(o.remote_floor, 2);
         assert_eq!(o.lease_secs, 15.0);
         // An all-zero chaos spec means no chaos at all.
         let o = Options::parse(&s(&["--net-chaos", "seed=9"])).unwrap();

@@ -42,14 +42,9 @@ fn main() {
         std::process::exit(2);
     }
     let cmd = args.remove(0);
-    // Hidden mode: this process is a shard worker child of a
-    // `--process-shards` supervisor. It speaks frames on stdin/stdout,
-    // so it must be dispatched before anything can print there.
-    if cmd == "__shard-worker" {
-        std::process::exit(shards::worker_main());
-    }
-    // `worker` takes its own small flag set (`--listen`, `--port-file`),
-    // not the experiment options — dispatch before Options::parse.
+    // `worker` takes its own small flag set (`--listen`, `--port-file`,
+    // `--once-for`), not the experiment options — dispatch before
+    // Options::parse.
     if cmd == "worker" {
         if let Err(e) = net::worker_cmd(&args) {
             eprintln!("error: {e}");
@@ -165,7 +160,7 @@ USAGE: repro <command> [--ases N] [--seed S] [--theta T] [--cp-fraction X]
              [--resume] [--fail-links R] [--max-retries N]
              [--self-check RATE] [--deadline SECS] [--task-deadline SECS]
        repro doctor [--fix] <file-or-dir>...
-       repro worker --listen ADDR [--port-file PATH]
+       repro worker --listen ADDR [--port-file PATH] [--once-for PID]
        repro serve [--listen ADDR] [--port-file PATH] [--queue-bound N]
              [--client-inflight N] [--ctx-cache-mb MB] [--out DIR]
 
@@ -204,8 +199,10 @@ COMMANDS
            --serve tortures the simulation service (daemon SIGKILL +
            journal replay, worker kills, disk faults under the journal)
            gated on served results byte-identical to one-shot runs
-  worker   long-lived TCP sweep worker; coordinators dispatch to it via
-           --workers and it survives their crashes
+  worker   TCP sweep worker; coordinators dispatch to it via --workers
+           and it survives their crashes (--once-for PID: serve one
+           connection for coordinator PID, then exit — how
+           --process-shards spawns its local workers)
   serve    long-lived simulation service: accepts sweep jobs over HTTP
            (POST /jobs, GET /jobs/:id[/result], /healthz, /stats), keeps
            hot routing atlases cached across jobs, journals the queue for
@@ -237,8 +234,9 @@ FAULT TOLERANCE
                         latency=P,latency-ms=MS,seed=S` (any subset)
 
 PROCESS SHARDING (sweep commands)
-  --process-shards N    dispatch sweep units to N crash-isolated worker
-                        processes; results bit-identical at any shard count
+  --process-shards N    dispatch sweep units to N crash-isolated local
+                        `repro worker` processes over localhost TCP;
+                        results bit-identical at any shard count
   --kill-workers R      chaos: SIGKILL a worker w.p. R after each unit
   --watchdog-secs S     declare a silent worker dead after S seconds (30)
   --restart-budget N    worker restarts allowed per run (8; chaos kills exempt)
@@ -246,12 +244,13 @@ PROCESS SHARDING (sweep commands)
 
 DISTRIBUTED SWEEPS (sweep commands)
   --workers H:P,...     dispatch sweep units to remote `repro worker`s over
-                        TCP instead of local processes; byte-identical output
-  --remote-floor N      when fewer than N remote workers stay reachable,
-                        degrade to local process shards (default 1)
+                        TCP instead of local processes; byte-identical
+                        output; a slot no address answers spawns a local
+                        worker instead
   --lease-secs S        requeue a dispatched unit if its worker makes no
                         progress for S seconds (default 120)
-  --net-chaos SPEC      seeded fault injection on every remote link; SPEC is
+  --net-chaos SPEC      seeded fault injection on every worker link, local
+                        or remote; SPEC is
                         `drop=P,dup=P,delay=P,delay-ms=MS,torn=P,
                         partition=P,partition-frames=N,seed=S` (any subset)
 

@@ -202,7 +202,6 @@ fn execute_spec(d: &Daemon, id: &str, spec: &JobSpec) -> Result<Vec<u8>, String>
     jopts.worker_mem_mb = d.opts.worker_mem_mb;
     jopts.workers = d.opts.workers.clone();
     jopts.net_chaos = d.opts.net_chaos;
-    jopts.remote_floor = d.opts.remote_floor;
     jopts.lease_secs = d.opts.lease_secs;
     let run = job_runner(&spec.cmd).ok_or_else(|| format!("unsupported command {:?}", spec.cmd))?;
     let csv = result_csv_name(&spec.cmd).expect("every runnable command names its CSV");
@@ -331,12 +330,18 @@ impl Request {
     }
 }
 
+/// A request refused on its head alone, before any body is read:
+/// status, reason phrase, JSON error body.
+type Refusal = (u16, &'static str, String);
+
 /// Read one request. `Ok(None)` means the client went away before a
 /// full request arrived (the chaos suite's mid-stream disconnect probe
-/// — not an error, just a closed connection).
-fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
+/// — not an error, just a closed connection); a read fault counts the
+/// same. `Err` is a typed refusal: an unparseable `Content-Length`
+/// (400) or one past the body cap (413).
+fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, Refusal> {
     const MAX_HEAD: usize = 64 * 1024;
-    const MAX_BODY: usize = 1024 * 1024;
+    const MAX_BODY: u64 = 1024 * 1024;
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let head_end = loop {
@@ -346,9 +351,9 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         if buf.len() > MAX_HEAD {
             return Ok(None);
         }
-        match stream.read(&mut chunk)? {
-            0 => return Ok(None),
-            n => buf.extend_from_slice(&chunk[..n]),
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return Ok(None),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
         }
     };
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
@@ -365,18 +370,29 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         })
         .collect();
     let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
-    let want: usize = headers
+    let length = headers
         .iter()
         .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0);
-    if want > MAX_BODY {
-        return Ok(None);
-    }
+        .map(|(_, v)| v.parse::<u64>());
+    let too_large = || {
+        let body =
+            format!("{{\"error\":\"content-length exceeds the {MAX_BODY}-byte body limit\"}}");
+        (413, "Payload Too Large", body)
+    };
+    let want = match length {
+        None => 0,
+        Some(Ok(n)) if n > MAX_BODY => return Err(too_large()),
+        Some(Ok(n)) => n as usize,
+        Some(Err(e)) if *e.kind() == std::num::IntErrorKind::PosOverflow => return Err(too_large()),
+        Some(Err(_)) => {
+            let body = "{\"error\":\"content-length is not a byte count\"}".to_string();
+            return Err((400, "Bad Request", body));
+        }
+    };
     while body.len() < want {
-        match stream.read(&mut chunk)? {
-            0 => return Ok(None),
-            n => body.extend_from_slice(&chunk[..n]),
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return Ok(None),
+            Ok(n) => body.extend_from_slice(&chunk[..n]),
         }
     }
     body.truncate(want);
@@ -604,7 +620,8 @@ fn handle_connection(mut stream: TcpStream, peer: SocketAddr, d: &Daemon) {
         Ok(Some(r)) => r,
         // EOF mid-request (client disconnect) or a read fault: nothing
         // to answer, and nothing daemon-side may wedge on it.
-        Ok(None) | Err(_) => return,
+        Ok(None) => return,
+        Err((status, reason, body)) => return respond_json(&mut stream, status, reason, &body),
     };
     let fallback_client = req
         .header("x-client")
@@ -689,10 +706,11 @@ pub(crate) fn http_request(
 // The daemon entry point
 // ---------------------------------------------------------------------
 
-fn publish_port_file(pf: &std::path::Path, bound: &str) -> Result<(), ExperimentError> {
-    // Atomic publish (write-tmp, fsync, rename via the storage layer)
-    // so a poller never reads a torn half-written address — the same
-    // idiom as `repro worker`.
+/// Publish `bound` in the port file `pf` (`repro serve --port-file`,
+/// `repro worker --port-file`). The write is atomic (write-tmp, fsync,
+/// rename via the storage layer) so a poller never reads a torn
+/// half-written address.
+pub(crate) fn publish_port_file(pf: &std::path::Path, bound: &str) -> Result<(), ExperimentError> {
     let (dir, name) = match (pf.parent(), pf.file_name().and_then(|n| n.to_str())) {
         (Some(dir), Some(name)) if !name.is_empty() => (
             if dir.as_os_str().is_empty() {

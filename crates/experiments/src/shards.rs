@@ -1,4 +1,4 @@
-//! Process-sharded sweep execution (`--process-shards N`).
+//! Sharded sweep execution (`--process-shards N`, `--workers`).
 //!
 //! The sweep figures enumerate their unit grid here **once**, shared by
 //! three consumers that must agree exactly:
@@ -6,30 +6,29 @@
 //! 1. the in-process loops in [`crate::sweeps`] (via the `*_key`
 //!    helpers),
 //! 2. the supervisor's prefetch pass ([`prefetch`]), which dispatches
-//!    every not-yet-checkpointed unit to child worker processes, and
-//! 3. the hidden `__shard-worker` mode ([`worker_main`]), which
-//!    rebuilds the same registry from the job config and computes
-//!    whatever keys the supervisor assigns.
+//!    every not-yet-checkpointed unit to worker processes, and
+//! 3. every `repro worker` ([`worker_setup`]), which rebuilds the same
+//!    registry from the job config and computes whatever keys the
+//!    supervisor assigns.
 //!
-//! Workers are re-execs of this binary speaking the
-//! [`sbgp_core::supervise`] frame protocol on stdin/stdout (stderr
-//! passes through for human logs). Because each unit is a
-//! deterministic simulation and merged results land in the same
-//! checkpoint the in-process path reads, figure output is bit-identical
-//! to a single-process run at any shard count and under any crash or
-//! kill schedule.
+//! Workers speak the [`sbgp_core::supervise`] frame protocol over TCP:
+//! local shards are one-connection `repro worker` children this
+//! process spawns ([`crate::net::WorkerPool`]), remote ones long-lived
+//! `repro worker`s it dials. Because each unit is a deterministic
+//! simulation and merged results land in the same checkpoint the
+//! in-process path reads, figure output is bit-identical to a
+//! single-process run at any shard count and under any crash or kill
+//! schedule.
 
 use crate::cli::Options;
 use crate::error::ExperimentError;
 use crate::harness::SweepRunner;
 use crate::world::{weights, World, THETAS};
 use sbgp_asgraph::Weights;
-use sbgp_core::supervise::{self, ShardPolicy, SuperviseError};
+use sbgp_core::supervise::{self, ShardPolicy};
 use sbgp_core::{EarlyAdopters, EngineStats, SimResult};
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -173,43 +172,18 @@ pub fn sweep_units(cmd: &str, world: &World) -> Option<Vec<(String, UnitSpec)>> 
 // Supervisor side
 // ---------------------------------------------------------------------
 
-/// Where a sweep's shard scratch directories live.
-fn shards_dir(opts: &Options) -> PathBuf {
+/// Where a sweep's shard scratch directories and local workers' port
+/// files live.
+pub(crate) fn shards_dir(opts: &Options) -> PathBuf {
     opts.out
         .clone()
         .unwrap_or_else(|| PathBuf::from("results"))
         .join("shards")
 }
 
-/// Spawn one `__shard-worker` child: this binary re-exec'd with piped
-/// stdin/stdout (the frame channel) and inherited stderr. With
-/// `--worker-mem-mb` on unix, the child runs under `ulimit -v` via
-/// `sh`, so an over-budget shard dies with an allocation failure the
-/// supervisor converts into a batch split — no unsafe code needed.
-pub(crate) fn spawn_worker(opts: &Options) -> std::io::Result<Child> {
-    let exe = std::env::current_exe()?;
-    let mut cmd = if opts.worker_mem_mb > 0 && cfg!(unix) {
-        let kib = opts.worker_mem_mb.saturating_mul(1024);
-        let mut c = Command::new("sh");
-        c.arg("-c")
-            .arg(format!(
-                "ulimit -v {kib} 2>/dev/null; exec \"$0\" __shard-worker"
-            ))
-            .arg(&exe);
-        c
-    } else {
-        let mut c = Command::new(&exe);
-        c.arg("__shard-worker");
-        c
-    };
-    cmd.stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
-    cmd.spawn()
-}
-
 /// Compute every unit of `cmd` that `runner`'s checkpoint does not
-/// already hold, using a fleet of `--process-shards` worker processes.
+/// already hold, using a fleet of `--process-shards` local or
+/// `--workers` remote worker processes.
 /// No-op when sharding is off or nothing is missing; afterwards the
 /// in-process sweep loop finds every unit checkpointed and only
 /// formats output.
@@ -268,25 +242,17 @@ pub fn prefetch(
             None => String::new(),
         }
     );
-    // The supervisor drives three callbacks that all need the runner
-    // (merge, lease journal) or the pool (connect); its event loop is
-    // single-threaded, so a RefCell resolves the shared borrow.
+    // The supervisor drives two callbacks that both need the runner
+    // (merge, lease journal); its event loop is single-threaded, so a
+    // RefCell resolves the shared borrow.
     let runner = std::cell::RefCell::new(runner);
-    let mut pool = remote.then(|| crate::net::RemotePool::new(opts));
+    let mut pool = crate::net::WorkerPool::new(opts);
     let report = supervise::run_supervised(
         &policy,
         cmd,
         &opts.to_worker_config(),
         &missing,
-        |slot| match pool.as_mut() {
-            Some(pool) => pool.connect(slot),
-            None => {
-                let child = spawn_worker(opts).map_err(|e| SuperviseError::Spawn {
-                    message: e.to_string(),
-                })?;
-                supervise::pipe_link(child)
-            }
-        },
+        |slot| pool.connect(slot),
         |key, result, stats| {
             runner
                 .borrow_mut()
@@ -314,9 +280,7 @@ pub fn prefetch(
         report.requeued,
         report.splits
     );
-    if let Some(pool) = &pool {
-        pool.report();
-    }
+    pool.report();
     Ok(())
 }
 
@@ -324,18 +288,17 @@ pub fn prefetch(
 // Worker side
 // ---------------------------------------------------------------------
 
-/// Build the unit handler a worker serves with, from the job's command
-/// and config text: the world, the unit registry, and per-graph lazy
-/// atlas/weight caches. Shared by the pipe worker (`__shard-worker`)
-/// and the TCP worker (`repro worker --listen`) — the computation is
-/// transport-blind by construction. Returns the handler, the registry
-/// size, and the scratch breadcrumb dir (if one was created) for the
-/// caller to clean up on graceful exit.
+/// What a worker's unit handler returns for one key.
 pub(crate) type UnitOutcome = Result<(SimResult, EngineStats), String>;
 /// A ready worker: the unit handler, the registry size, and the
 /// scratch breadcrumb dir to remove on clean exit.
 pub(crate) type WorkerSetup<H> = Result<(H, usize, Option<PathBuf>), String>;
 
+/// Build the unit handler a `repro worker` serves with, from the job's
+/// command and config text: the world, the unit registry, and per-graph
+/// lazy atlas/weight caches. Returns the handler, the registry size,
+/// and the scratch breadcrumb dir (if one was created) for the caller
+/// to clean up on graceful exit.
 pub(crate) fn worker_setup(
     cmd: &str,
     config: &str,
@@ -397,28 +360,4 @@ pub(crate) fn worker_setup(
         Ok((result, stats))
     };
     Ok((handler, n, scratch))
-}
-
-/// Entry point for the hidden `__shard-worker` mode. Never prints to
-/// stdout (that is the frame channel); returns the process exit code.
-pub fn worker_main() -> i32 {
-    let scratch: std::cell::RefCell<Option<PathBuf>> = std::cell::RefCell::new(None);
-    // Unlocked handles: the heartbeat thread shares the writer, so it
-    // must be Send (Stdout is; StdoutLock is not).
-    let result = supervise::serve_worker(std::io::stdin(), std::io::stdout(), |cmd, config| {
-        let (handler, n, dir) = worker_setup(cmd, config)?;
-        *scratch.borrow_mut() = dir;
-        Ok((handler, n))
-    });
-    if let Some(dir) = scratch.borrow_mut().take() {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("shard worker: {e}");
-            let _ = std::io::stderr().flush();
-            1
-        }
-    }
 }

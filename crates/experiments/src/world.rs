@@ -37,8 +37,8 @@ impl World {
         if opts.fail_links > 0.0 {
             let plan = FaultPlan::links(opts.fail_links, opts.seed ^ 0x0fa1_17ed);
             let (degraded, report) = apply_faults(&gen.graph, &plan)?;
-            // stderr, not stdout: in `__shard-worker` mode stdout is a
-            // framed protocol channel and a stray line would corrupt it.
+            // stderr, not stdout: stdout carries only the figure's rows,
+            // and every sweep worker rebuilds this world too.
             eprintln!(
                 "[faults] link failure rate {}: {}/{} edges survive",
                 opts.fail_links, report.surviving_edges, report.total_edges

@@ -4,8 +4,8 @@
 //! computed (child worker processes under a supervisor) but never
 //! *what* it computes — final CSVs are byte-identical to the
 //! single-process run at any shard count, under injected worker
-//! kills, and across a SIGKILL of the supervisor itself followed by
-//! `--resume`.
+//! kills and network faults, and across a SIGKILL of the supervisor
+//! itself followed by `--resume` — which must leave no worker behind.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -123,11 +123,90 @@ fn worker_memory_ceiling_leaves_results_intact() {
     let _ = std::fs::remove_dir_all(&capped);
 }
 
+/// The `N injected net fault(s)` counts of the `[shards] merged` lines.
+fn injected_net_faults(stderr: &str) -> u64 {
+    stderr
+        .lines()
+        .filter(|l| l.starts_with("[shards] merged"))
+        .filter_map(|l| {
+            l.split(" injected net fault(s)")
+                .next()?
+                .rsplit(' ')
+                .next()?
+                .parse::<u64>()
+                .ok()
+        })
+        .sum()
+}
+
+#[test]
+fn net_chaos_on_local_shards_still_produces_identical_output() {
+    let single = tmp("netchaos-ref");
+    let chaotic = tmp("netchaos-run");
+    fig9("150", &single, &[]);
+    // Local shards ride the same TCP transport as remote workers, so
+    // the seeded fault schedule applies to their links too. Tight
+    // lease/watchdog so dropped frames requeue in seconds.
+    let (_, err) = fig9(
+        "150",
+        &chaotic,
+        &[
+            "--process-shards",
+            "2",
+            "--net-chaos",
+            "drop=0.05,torn=0.03,seed=13",
+            "--lease-secs",
+            "10",
+            "--watchdog-secs",
+            "15",
+        ],
+    );
+    assert_eq!(
+        csv(&single),
+        csv(&chaotic),
+        "CSV diverged under net chaos:\n{err}"
+    );
+    assert!(
+        injected_net_faults(&err) >= 1,
+        "no injected net fault on local links:\n{err}"
+    );
+    let _ = std::fs::remove_dir_all(&single);
+    let _ = std::fs::remove_dir_all(&chaotic);
+}
+
 /// Does the sweep log hold a unit record yet? The log exists from the
 /// moment the sweep opens it and leases precede units, so existence
 /// alone does not mean a unit is saved.
 fn has_unit_record(log: &std::path::Path) -> bool {
     std::fs::read(log).is_ok_and(|b| b.split(|&c| c == b'\n').any(|l| l.starts_with(b"unit ")))
+}
+
+/// `(state, ppid)` of `pid` from `/proc/<pid>/stat`; `None` once the
+/// process is gone (or where there is no `/proc`).
+fn proc_stat(pid: u32) -> Option<(char, u32)> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // The command name is parenthesised and may hold spaces; the
+    // fields after it are space-separated.
+    let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace();
+    let state = fields.next()?.chars().next()?;
+    let ppid = fields.next()?.parse().ok()?;
+    Some((state, ppid))
+}
+
+/// The PIDs whose parent is `ppid`.
+fn children_of(ppid: u32) -> Vec<u32> {
+    let Ok(dir) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    dir.filter_map(|e| e.ok()?.file_name().to_str()?.parse().ok())
+        .filter(|&pid| proc_stat(pid).is_some_and(|(_, parent)| parent == ppid))
+        .collect()
+}
+
+/// Is `pid` still running? A zombie has exited; it only waits for
+/// whoever adopted it to reap it.
+fn running(pid: u32) -> bool {
+    proc_stat(pid).is_some_and(|(state, _)| state != 'Z')
 }
 
 #[test]
@@ -165,9 +244,26 @@ fn supervisor_sigkill_then_resume_is_byte_identical() {
         "no unit record was logged before the deadline"
     );
     // SIGKILL — no cleanup handlers run; lock and log (with live
-    // leases) are left behind for --resume (and `repro doctor`).
+    // leases) are left behind for --resume (and `repro doctor`). The
+    // workers it spawned must not outlive it.
+    let workers = children_of(sup.id());
+    if cfg!(target_os = "linux") {
+        assert!(!workers.is_empty(), "no worker children found in /proc");
+    }
     sup.kill().expect("kill supervisor");
     let _ = sup.wait();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while workers.iter().any(|&w| running(w)) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let orphans: Vec<u32> = workers.into_iter().filter(|&w| running(w)).collect();
+    for w in &orphans {
+        let _ = Command::new("kill").args(["-9", &w.to_string()]).status();
+    }
+    assert!(
+        orphans.is_empty(),
+        "workers outlived the SIGKILLed supervisor by 10 s: {orphans:?}"
+    );
 
     let (_, err) = fig9(
         "400",

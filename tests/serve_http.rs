@@ -294,3 +294,53 @@ fn worker_drains_gracefully_on_sigterm() {
     assert!(!pf.exists(), "worker port file survived a graceful drain");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One raw request (the caller writes every byte, `Content-Length`
+/// included) → `(status, body)`; a silent close reads as status 0.
+fn raw_exchange(addr: &str, request: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    stream.write_all(request.as_bytes()).expect("write request");
+    let mut raw = Vec::new();
+    let _ = stream.read_to_end(&mut raw);
+    let text = String::from_utf8_lossy(&raw).into_owned();
+    let (head, body) = text.split_once("\r\n\r\n").unwrap_or(("", ""));
+    let status = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    (status, body.to_string())
+}
+
+#[test]
+fn post_jobs_length_errors_are_typed() {
+    let dir = tmp("length");
+    let daemon = Daemon::spawn(&dir, &[]);
+    // A length past the body cap is refused up front, not closed on.
+    let (status, body) = raw_exchange(
+        &daemon.addr,
+        "POST /jobs HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+    );
+    assert_eq!(status, 413, "oversized length not refused: {body:?}");
+    assert!(body.starts_with("{\"error\":"), "not a JSON error: {body}");
+    // A length that is not a number is a bad request, not a zero-byte
+    // body: the JSON after the head must not be read as empty.
+    let job = format!("{{\"cmd\":\"fig9\",\"config\":\"{CONFIG}\"}}");
+    let (status, body) = raw_exchange(
+        &daemon.addr,
+        &format!("POST /jobs HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n{job}"),
+    );
+    assert_eq!(status, 400, "unparseable length not refused: {body:?}");
+    assert!(
+        body.contains("content-length"),
+        "400 does not name the length: {body}"
+    );
+    // The daemon is unharmed.
+    let (status, _, _) = http(&daemon.addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    daemon.sigterm_and_wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
